@@ -22,6 +22,7 @@ negligible at the LAN delays used by Experiment 3.
 
 import math
 
+from repro.core.actions import replay_actions
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
@@ -79,8 +80,9 @@ class BaselineProtocol(object):
     Subclasses provide :meth:`_make_controller` returning the protocol-specific
     :class:`LinkController`.  The public session API mirrors
     :class:`~repro.core.protocol.BNeckProtocol` (``create_session`` / ``join`` /
-    ``leave`` / ``change`` / ``current_allocation``), so the experiment
-    harnesses and the workload generator drive both interchangeably.
+    ``leave`` / ``change`` / ``apply_actions`` / ``current_allocation``), so the
+    experiment harnesses and the workload generator drive both
+    interchangeably.
     """
 
     name = "baseline"
@@ -184,6 +186,10 @@ class BaselineProtocol(object):
             self._demands[session_id] = session.effective_demand()
 
         self._schedule_api_call(apply_change, at)
+
+    def apply_actions(self, actions):
+        """Replay a batch of :mod:`repro.core.actions` records, in order."""
+        return replay_actions(self, actions)
 
     def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
         """Create and immediately join a session; returns ``(session, None)``."""

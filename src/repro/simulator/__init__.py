@@ -35,7 +35,6 @@ from repro.simulator.errors import (
 from repro.simulator.event_queue import Event, EventQueue
 from repro.simulator.process import Process
 from repro.simulator.random_source import RandomSource
-from repro.simulator.sharding import ShardedSimulator, ShardLane, parse_engine
 from repro.simulator.simulation import Simulator
 from repro.simulator.statistics import (
     Histogram,
@@ -64,8 +63,6 @@ __all__ = [
     "Process",
     "RandomSource",
     "SECOND",
-    "ShardLane",
-    "ShardedSimulator",
     "SimulationError",
     "SimulationLimitExceeded",
     "SimulationNotRunning",
@@ -77,7 +74,6 @@ __all__ = [
     "format_time",
     "microseconds",
     "milliseconds",
-    "parse_engine",
     "percentile",
     "seconds",
     "summarize",

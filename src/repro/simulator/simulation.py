@@ -268,9 +268,8 @@ class Simulator(object):
                 # conditions tend to watch.
                 self._flush_instant()
                 if stop_condition is not None and stop_condition():
-                    # Record the early termination (as ShardedSimulator does)
-                    # so the end-of-run timer flush knows this run was paused,
-                    # not drained.
+                    # Record the early termination so the end-of-run timer
+                    # flush knows this run was paused, not drained.
                     self._stop_requested = True
                     break
                 continue

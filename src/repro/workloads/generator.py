@@ -12,7 +12,7 @@ and returning a maximum requested rate (possibly infinite).
 
 import math
 
-from repro.core.actions import join_action_from_spec, schedule_actions
+from repro.core.actions import join_action_from_spec
 from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY, stub_routers
 from repro.simulator.random_source import RandomSource
 
@@ -132,17 +132,16 @@ class WorkloadGenerator(object):
         """Attach hosts, create the sessions and schedule their joins.
 
         Specs are converted into :class:`~repro.core.actions.JoinAction`
-        records and applied through the protocol's engine-transparent entry
-        point (one code path with the persistent-parallel broadcast
-        machinery, so schedules stay bit-identical however a session is
-        installed).  Returns ``{session_id: session}`` for the installed
-        specs.
+        records and applied through the protocol's ``apply_actions``, the one
+        code path every workload uses, so schedules stay bit-identical
+        however a session is installed.  Returns ``{session_id: session}``
+        for the installed specs.
         """
         actions = [
             join_action_from_spec(spec, self.host_capacity, self.host_delay)
             for spec in specs
         ]
-        return schedule_actions(protocol, actions)
+        return protocol.apply_actions(actions)
 
     def populate(self, protocol, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
         """``generate`` + ``install`` in one call; returns ``{session_id: session}``."""
@@ -176,7 +175,7 @@ class WorkloadGenerator(object):
         start, end = window
         if end < start:
             # An inverted window used to emit times *outside* the phase,
-            # which schedule_actions then scheduled in the past.
+            # which were then scheduled in the past.
             raise ValueError(
                 "random_times window start %r exceeds its end %r; pass the "
                 "window as (start, end) with start <= end" % (start, end)

@@ -94,6 +94,17 @@ def test_stop_request_halts_run(simulator):
     assert simulator.pending_events == 1
 
 
+def test_stale_stop_request_does_not_end_the_next_run(simulator):
+    fired = []
+    for index in range(5):
+        simulator.schedule((index + 1) * 0.1, lambda index=index: fired.append(index))
+    simulator.run(stop_condition=lambda: len(fired) >= 2)
+    assert fired == [0, 1]
+    simulator.stop()  # requested while no run is active
+    simulator.run_until_quiescent()
+    assert fired == [0, 1, 2, 3, 4]
+
+
 def test_cancelled_events_do_not_fire(simulator):
     fired = []
     event = simulator.schedule(0.5, lambda: fired.append("cancelled"))
@@ -377,8 +388,7 @@ class TestBookkeepingTimers(object):
 
     def test_condition_stopped_runs_leave_timers_pending(self):
         # A stop_condition firing on the event that empties the queue must
-        # not flush future-dated timers: the run is paused, not drained
-        # (matching the sharded engine's behavior).
+        # not flush future-dated timers: the run is paused, not drained.
         simulator = Simulator()
         fired = []
         done = []

@@ -2,24 +2,21 @@
 
 Four families of guarantees:
 
-* **Cross-engine bit-identity**: a Poisson-churn run and a capacity-dynamics
-  run reproduce the committed sequential goldens
-  (``tests/data/cross_engine_goldens.json``) on the sequential,
-  sharded:2/sharded:4 serial and persistent-parallel engines -- per-round
-  quiescence times, packets, events, callbacks and the final allocation,
-  bit-exactly.
+* **Golden bit-identity**: a Poisson-churn run and a capacity-dynamics run
+  reproduce the committed goldens (``tests/data/cross_engine_goldens.json``)
+  -- per-round quiescence times, packets, events, callbacks and the final
+  allocation, bit-exactly.
 * **Capacity-change semantics**: after every
   :class:`~repro.core.actions.CapacityChangeAction` quiescence point the
   allocation matches the water-filling oracle on the *updated* capacities,
   including the empty-``R_e`` oversubscription case (a deep cut on a link
-  whose sessions were all restricted elsewhere) and the driver-side network
-  mirror of a persistent-parallel run.
+  whose sessions were all restricted elsewhere).
 * **Workload-generator validation** (regressions): ``pick_sessions`` no
   longer silently clamps, ``random_times`` rejects inverted windows, and a
   phase asking for more churn than the live population records the shortfall
   in :attr:`~repro.workloads.dynamics.PhaseOutcome.shortfalls`.
-* **Runner lifecycle**: ``ExperimentRunner`` is a context manager that closes
-  the engine even when the body raises.
+* **Runner lifecycle**: ``ExperimentRunner`` is a context manager that
+  yields the runner and lets exceptions propagate.
 """
 
 import json
@@ -30,6 +27,7 @@ import pytest
 
 from repro.core.actions import (
     CapacityChangeAction,
+    LeaveAction,
     replay_actions,
     validate_actions,
 )
@@ -61,38 +59,27 @@ with open(GOLDEN_PATH) as handle:
 
 STOCHASTIC_KEYS = sorted(key for key in GOLDENS if key.startswith("stochastic-"))
 
-ENGINES = ["sequential", "sharded:2", "sharded:4"]
-if hasattr(os, "fork"):
-    ENGINES += ["sharded:2/parallel", "sharded:4/parallel"]
 
-
-def _run_golden_scenario(key, engine):
+def _run_golden_scenario(key):
     golden = GOLDENS[key]["sequential"]
     _prefix, _workload, size, delay, seed = key.rsplit("-", 4)
     spec = ScenarioSpec(
         size=size,
         delay_model=delay,
         seed=int(seed[1:]),
-        engine=engine,
         workload=golden["workload"],
     )
-    with ExperimentRunner(spec) as runner:
-        measurements = runner.run_scenario()
-        workers_live = getattr(runner.protocol.simulator, "workers_live", False)
-        return runner, measurements, golden, workers_live
+    runner = ExperimentRunner(spec)
+    return runner, runner.run_scenario(), golden
 
 
-class TestCrossEngineGoldens(object):
-    """The stochastic scenarios replay bit-identically on every engine."""
+class TestStochasticGoldens(object):
+    """The stochastic scenarios replay their committed goldens bit-identically."""
 
     @pytest.mark.parametrize("key", STOCHASTIC_KEYS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_reproduces_the_sequential_golden(self, key, engine):
-        runner, measurements, golden, workers_live = _run_golden_scenario(key, engine)
+    def test_reproduces_the_sequential_golden(self, key):
+        runner, measurements, golden = _run_golden_scenario(key)
         protocol = runner.protocol
-        if engine.endswith("/parallel"):
-            # The run must actually have executed on the worker pool.
-            assert workers_live
         assert [m.description for m in measurements] == golden["round_labels"]
         assert [repr(m.quiescence_time) for m in measurements] == (
             golden["round_quiescence"]
@@ -184,23 +171,24 @@ class TestCapacityChangeSemantics(object):
         with pytest.raises(KeyError):
             protocol.change_capacity("r0", "nowhere", 10 * MBPS)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-    def test_bad_capacity_action_is_rejected_before_the_broadcast(self):
-        """A typo'd link must fail driver-side, leaving the live worker pool
-        usable -- not fail mid-replay after the workers got the batch."""
-        spec = ScenarioSpec(
-            size="small", seed=4, engine="sharded:2/parallel", validate=False
-        )
+    def test_bad_capacity_target_rejects_the_whole_batch(self):
+        """A typo'd link fails before any action of its batch is scheduled."""
+        spec = ScenarioSpec(size="small", seed=4, validate=False)
         with ExperimentRunner(spec) as runner:
             runner.populate(8, join_window=(0.0, 1e-3))
-            runner.checkpoint("join")  # forks the persistent pool
+            runner.checkpoint("join")
             protocol = runner.protocol
-            assert protocol.simulator.workers_live
+            session_id = runner.active_ids[0]
+            at = protocol.simulator.now + 1e-4
             with pytest.raises(KeyError):
-                protocol.change_capacity("r-nowhere", "also-nowhere", 1e6)
-            # The pool survived the rejected batch and still runs.
-            assert protocol.simulator.workers_live
-            assert runner.checkpoint("still running").quiescence_time >= 0.0
+                protocol.apply_actions([
+                    LeaveAction(session_id, at),
+                    CapacityChangeAction("r-nowhere", "also-nowhere", 1e6, at),
+                ])
+            # The leave ahead of the bad action was not scheduled either.
+            assert protocol.simulator.pending_events == 0
+            assert runner.checkpoint("still running").validated
+            assert session_id in protocol.registry
 
     def test_validate_actions_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="positive finite capacity"):
@@ -219,15 +207,10 @@ class TestCapacityChangeSemantics(object):
         with pytest.raises(ValueError, match="capacity-change"):
             replay_actions(Bare(), [CapacityChangeAction("a", "b", 1.0, 1e-3)])
 
-    @pytest.mark.parametrize(
-        "engine",
-        ["sequential", "sharded:2"]
-        + (["sharded:2/parallel"] if hasattr(os, "fork") else []),
-    )
-    def test_allocation_matches_waterfilling_after_every_event(self, engine):
+    def test_allocation_matches_waterfilling_after_every_event(self):
         """The acceptance criterion: each capacity-change quiescence point
         validates against the water-filling oracle on updated capacities."""
-        spec = ScenarioSpec(size="small", delay_model="lan", seed=13, engine=engine)
+        spec = ScenarioSpec(size="small", delay_model="lan", seed=13)
         workload = CapacityDynamicsWorkload(sessions=30, events=3)
         with ExperimentRunner(spec) as runner:
             observed_capacities = []
@@ -240,8 +223,7 @@ class TestCapacityChangeSemantics(object):
                 runner.apply_actions(actions)
                 measurement = runner.checkpoint(label)
                 assert measurement.validated, label
-                # The driver's network mirror carries the new capacities
-                # (in parallel mode via the end-of-run state sync) ...
+                # The network carries the new capacities ...
                 for (source, target), capacity in changed.items():
                     assert runner.network.link(source, target).capacity == capacity
                 # ... and the independent water-filling oracle on that updated
@@ -364,34 +346,13 @@ class TestPhaseShortfallReporting(object):
 
 
 class TestRunnerContextManager(object):
-    def test_close_runs_on_clean_exit_and_on_error(self):
-        closed = []
+    def test_yields_the_runner_and_propagates_errors(self):
         spec = ScenarioSpec(size="small", seed=1)
         with ExperimentRunner(spec) as runner:
-            runner.close = lambda: closed.append("clean")
-        assert closed == ["clean"]
-
+            assert isinstance(runner, ExperimentRunner)
         with pytest.raises(RuntimeError, match="boom"):
-            with ExperimentRunner(spec) as runner:
-                runner.close = lambda: closed.append("error")
+            with ExperimentRunner(spec):
                 raise RuntimeError("boom")
-        assert closed == ["clean", "error"]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-    def test_raising_scenario_does_not_leak_the_worker_pool(self):
-        spec = ScenarioSpec(
-            size="small", seed=4, engine="sharded:2/parallel", validate=False
-        )
-        with pytest.raises(RuntimeError, match="mid-scenario"):
-            with ExperimentRunner(spec) as runner:
-                runner.populate(10, join_window=(0.0, 1e-3))
-                runner.checkpoint("join")  # forks the persistent pool
-                simulator = runner.protocol.simulator
-                assert simulator.workers_live
-                raise RuntimeError("mid-scenario")
-        # __exit__ shut the pool down; the engine reports it retired.
-        assert not simulator.workers_live
-        assert simulator._pool_retired
 
 
 class TestWorkloadRegistryAndRunner(object):
