@@ -26,7 +26,7 @@ from repro.core.actions import replay_actions
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry
+from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 
@@ -179,6 +179,7 @@ class BaselineProtocol(object):
 
     def change(self, session_id, requested_rate, at=None):
         """Change a session's maximum requested rate."""
+        check_demand(requested_rate)
 
         def apply_change():
             session = self._sessions[session_id]

@@ -26,6 +26,8 @@ session API, replay batches directly.
 
 import math
 
+from repro.network.session import check_demand
+
 
 class JoinAction(object):
     """``API.Join`` of a new session, with its host attachments.
@@ -193,7 +195,8 @@ def validate_actions(actions):
 
     Every action must carry a concrete, finite absolute time: ``at=None``
     (meaning "right now") is resolved *before* an action is built, so a batch
-    means the same schedule whenever it is applied.
+    means the same schedule whenever it is applied.  Join and change demands
+    must be positive (``math.inf`` allowed), capacities positive and finite.
     """
     for action in actions:
         if action.kind not in ("join", "leave", "change", "capacity"):
@@ -203,6 +206,14 @@ def validate_actions(actions):
             raise ValueError(
                 "action %r needs a finite absolute time, got %r" % (action, at)
             )
+        if action.kind in ("join", "change"):
+            try:
+                check_demand(action.demand)
+            except ValueError:
+                raise ValueError(
+                    "action %r needs a positive demand (or math.inf), got %r"
+                    % (action, action.demand)
+                ) from None
         if action.kind == "capacity" and not (
             action.capacity > 0 and math.isfinite(action.capacity)
         ):

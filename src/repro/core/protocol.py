@@ -61,7 +61,7 @@ from repro.core.source_node import SourceNodeTask
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry
+from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 
@@ -70,14 +70,16 @@ UPSTREAM = "upstream"
 
 
 class _SessionWiring(object):
-    """Per-session forwarding table: ordered protocol stages and path links."""
+    """Per-session forwarding table: ordered protocol stages, path links and
+    the reverse of each path link (what upstream packets cross)."""
 
-    __slots__ = ("session", "stages", "links", "index_by_key")
+    __slots__ = ("session", "stages", "links", "reverse_links", "index_by_key")
 
-    def __init__(self, session, stages, links):
+    def __init__(self, session, stages, links, reverse_links):
         self.session = session
         self.stages = stages
         self.links = links
+        self.reverse_links = reverse_links
         self.index_by_key = {}
         # Stage 0 (the source) is addressed by the access link it owns; stages
         # 1..k by the link their RouterLink controls; the destination by a
@@ -188,6 +190,8 @@ class BNeckProtocol(object):
         """
         if session.session_id in self._sessions:
             raise ValueError("session %r already joined" % session.session_id)
+        # Upstream packets cross these; a missing reverse link fails here.
+        reverse_links = [self.network.reverse_link(link) for link in session.links]
         if application is None:
             application = SessionApplication(session.session_id, session.demand)
         self._sessions[session.session_id] = session
@@ -202,7 +206,9 @@ class BNeckProtocol(object):
         for link in session.transit_links:
             stages.append(self._router_link_for(link))
         stages.append(destination)
-        self._wirings[session.session_id] = _SessionWiring(session, stages, session.links)
+        self._wirings[session.session_id] = _SessionWiring(
+            session, stages, session.links, reverse_links
+        )
 
         def activate():
             self.registry.add(session)
@@ -223,7 +229,12 @@ class BNeckProtocol(object):
         self._schedule_api_call(deactivate, at, "API.Leave")
 
     def change(self, session_id, requested_rate, at=None):
-        """``API.Change``: request a new maximum rate, optionally at a future time."""
+        """``API.Change``: request a new maximum rate, optionally at a future time.
+
+        A demand that is not positive (zero, negative, NaN) raises
+        ``ValueError`` here, before anything is scheduled.
+        """
+        check_demand(requested_rate)
         source = self._sources[session_id]
         session = self._sessions[session_id]
 
@@ -327,7 +338,7 @@ class BNeckProtocol(object):
         if index == 0:
             # The source is the first stage; nothing lies upstream of it.
             return
-        crossing = self.network.reverse_link(wiring.links[index - 1])
+        crossing = wiring.reverse_links[index - 1]
         target = wiring.stages[index - 1]
         self._transmit(packet, crossing, target, UPSTREAM)
 
@@ -339,7 +350,7 @@ class BNeckProtocol(object):
     def forward_upstream_from_destination(self, session_id, packet):
         """Deliver a packet sent upstream by the destination node."""
         wiring = self._wirings[session_id]
-        crossing = self.network.reverse_link(wiring.links[-1])
+        crossing = wiring.reverse_links[-1]
         target = wiring.stages[-2]
         self._transmit(packet, crossing, target, UPSTREAM)
 

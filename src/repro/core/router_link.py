@@ -9,6 +9,15 @@ transcription of Figure 2, with two presentational differences:
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`), which knows each session's
   path and the per-hop link delays.
+
+The figure's scans over ``R_e`` and ``F_e`` ("every F_e rate not below
+``B_e``", "every IDLE R_e session at ``B_e``") are window queries on the
+sorted rate indexes of :class:`~repro.core.state.LinkState`: a bisect finds
+the entries inside the algebra's
+:meth:`~repro.fairness.algebra.RateAlgebra.equal_window` of the threshold,
+plain ordering decides every entry outside it, and the algebra's own
+comparison decides every entry inside it.  The decisions are those of a full
+scan, and the sessions they select are still handled in session-id order.
 """
 
 from repro.core.packets import (
@@ -22,8 +31,26 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import IDLE, LinkState, WAITING_PROBE, WAITING_RESPONSE
+from repro.core.state import (
+    IDLE,
+    LinkState,
+    WAITING_PROBE,
+    WAITING_RESPONSE,
+    rate_window,
+)
 from repro.simulator.process import Process
+
+
+def _equal_to(index, value, algebra):
+    """Sorted session ids of the ``index`` entries whose rate equals ``value``."""
+    lo, hi = algebra.equal_window(value)
+    start, stop = rate_window(index, lo, hi)
+    equal = algebra.equal
+    return sorted(
+        session_id
+        for recorded, session_id in index[start:stop]
+        if equal(recorded, value)
+    )
 
 
 class RouterLinkTask(Process):
@@ -78,37 +105,41 @@ class RouterLinkTask(Process):
         """
         state = self.state
         algebra = self.algebra
-        while True:
+        free = state.free_rated
+        while free:
             rate = state.bottleneck_rate()
-            rated = state.unrestricted_rated()
-            offender_rates = [
-                recorded
-                for _session_id, recorded in rated
-                if algebra.greater_equal(recorded, rate)
-            ]
-            if not offender_rates:
-                break
-            largest = max(offender_rates)
+            start, stop = rate_window(free, *algebra.equal_window(rate))
+            if stop < len(free):
+                # Above the window every rate is greater than B_e.
+                largest = free[-1][0]
+            else:
+                greater_equal = algebra.greater_equal
+                for position in range(stop - 1, start - 1, -1):
+                    if greater_equal(free[position][0], rate):
+                        largest = free[position][0]
+                        break
+                else:
+                    break
             # Sorted so the incremental F_e load sum is updated in a
-            # reproducible order (set iteration order is hash-randomized).
-            moved = sorted(
-                session_id
-                for session_id, recorded in rated
-                if algebra.equal(recorded, largest)
-            )
-            for session_id in moved:
+            # reproducible order.
+            for session_id in _equal_to(free, largest, algebra):
                 state.add_restricted(session_id)
 
+        idle = state.idle_rated
+        if not idle:
+            return
         rate = state.bottleneck_rate()
-        for session_id in sorted(state.restricted):
-            recorded = state.rate_of(session_id)
-            if (
-                recorded is not None
-                and state.state_of(session_id) == IDLE
-                and algebra.greater(recorded, rate)
-            ):
-                state.set_state(session_id, WAITING_PROBE)
-                self._send_upstream_update(session_id)
+        start, stop = rate_window(idle, *algebra.equal_window(rate))
+        greater = algebra.greater
+        woken = [
+            session_id
+            for recorded, session_id in idle[start:stop]
+            if greater(recorded, rate)
+        ]
+        woken.extend(session_id for _recorded, session_id in idle[stop:])
+        for session_id in sorted(woken):
+            state.set_state(session_id, WAITING_PROBE)
+            self._send_upstream_update(session_id)
 
     # ---------------------------------------------------------------- handlers
 
@@ -210,14 +241,7 @@ class RouterLinkTask(Process):
             # The session is not restricted here: move it to F_e and wake the
             # sessions that were settled at the old bottleneck rate, since the
             # recomputed B_e can only grow.
-            settled = [
-                other_id
-                for other_id in sorted(state.restricted)
-                if state.state_of(other_id) == IDLE
-                and state.rate_of(other_id) is not None
-                and self.algebra.equal(state.rate_of(other_id), rate)
-            ]
-            for other_id in settled:
+            for other_id in _equal_to(state.idle_rated, rate, self.algebra):
                 state.set_state(other_id, WAITING_PROBE)
                 self._send_upstream_update(other_id)
             state.add_unrestricted(session_id)
@@ -267,26 +291,32 @@ class RouterLinkTask(Process):
             # largest-rated F_e session back under this link's control
             # (smallest id on ties, for determinism); B_e turns finite and
             # the standard offender cascade below takes over.
-            rated = state.unrestricted_rated()
-            if rated:
-                largest = max(rate for _session_id, rate in rated)
-                victim = min(
-                    session_id
-                    for session_id, rate in rated
-                    if self.algebra.equal(rate, largest)
-                )
+            free = state.free_rated
+            if free:
+                victim = _equal_to(free, free[-1][0], self.algebra)[0]
                 state.add_restricted(victim)
         self.process_new_restricted()
         rate = state.bottleneck_rate()
-        for session_id in sorted(state.restricted):
-            if (
-                state.state_of(session_id) == IDLE
-                and not self.algebra.equal(
-                    state.rate_of(session_id) or 0.0, rate
-                )
-            ):
-                state.set_state(session_id, WAITING_PROBE)
-                self._send_upstream_update(session_id)
+        idle = state.idle_rated
+        start, stop = rate_window(idle, *self.algebra.equal_window(rate))
+        equal = self.algebra.equal
+        stale = [session_id for _recorded, session_id in idle[:start] + idle[stop:]]
+        stale.extend(
+            session_id
+            for recorded, session_id in idle[start:stop]
+            if not equal(recorded, rate)
+        )
+        if not equal(0.0, rate):
+            # An IDLE R_e member without a recorded rate counts as rate 0.
+            stale.extend(
+                session_id
+                for session_id in state.restricted
+                if state.rate_of(session_id) is None
+                and state.state_of(session_id) == IDLE
+            )
+        for session_id in sorted(stale):
+            state.set_state(session_id, WAITING_PROBE)
+            self._send_upstream_update(session_id)
 
     def on_leave(self, packet):
         """Figure 2, lines 57-62."""
@@ -295,11 +325,8 @@ class RouterLinkTask(Process):
         rate = state.bottleneck_rate()
         to_update = [
             other_id
-            for other_id in sorted(state.restricted)
+            for other_id in _equal_to(state.idle_rated, rate, self.algebra)
             if other_id != session_id
-            and state.state_of(other_id) == IDLE
-            and state.rate_of(other_id) is not None
-            and self.algebra.equal(state.rate_of(other_id), rate)
         ]
         state.forget(session_id)
         for other_id in to_update:

@@ -76,7 +76,7 @@ class SourceNodeTask(Process):
         # In the paper's "modified system" the effective bandwidth of the
         # access link is D_s = min(r, C_e); the source's link state uses it so
         # that Definition 2 (stability) holds for demand-limited sessions.
-        self.state.capacity = self.demand
+        self.state.set_capacity(self.demand)
         self.state.set_state(self.session_id, WAITING_RESPONSE)
         self.update_received = False
         self.bottleneck_received = False
@@ -91,7 +91,7 @@ class SourceNodeTask(Process):
     def api_change(self, requested_rate):
         """Figure 3, lines 11-18 (``API.Change``)."""
         self.demand = min(requested_rate, self.access_link.capacity)
-        self.state.capacity = self.demand
+        self.state.set_capacity(self.demand)
         if self.state.state_of(self.session_id) == IDLE:
             if self.session_id in self.state.unrestricted:
                 self.state.add_restricted(self.session_id)

@@ -9,11 +9,29 @@ For every link ``e`` the protocol keeps (Section III-C):
   ``s`` is in ``F_e``, or in ``R_e`` with ``mu^e_s = IDLE``);
 * the bottleneck-rate estimate ``B_e = (C_e - sum of F_e rates) / |R_e|``.
 
+Two sorted indexes of ``(rate, session_id)`` tuples let the RouterLink task
+answer its threshold questions ("which F_e rates reach ``B_e``?", "which
+settled sessions sit at ``B_e``?") by bisecting instead of rescanning:
+
+* ``idle_rated`` -- every ``R_e`` member whose ``mu`` is IDLE (including the
+  implicit default) and which has a recorded rate;
+* ``free_rated`` -- every ``F_e`` member with a recorded rate.
+
+Both indexes, and the running sum of the ``F_e`` rates behind ``B_e``, are
+derived from ``R_e``/``F_e``/``mu``/``lambda``.  They stay in sync only if
+every change goes through the mutation methods (``set_state``, ``set_rate``,
+``add_restricted``, ``add_unrestricted``, ``forget``): each removes the
+session's index entry before it changes anything and re-derives it after.
+Never mutate ``restricted``/``unrestricted`` or the private maps directly.
+Recorded rates must be comparable numbers (no NaN), or sorted order breaks;
+the session API rejects NaN demands, the only outside source of rates.
+
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
 """
 
 import math
+from bisect import bisect_left, insort
 
 from repro.fairness.algebra import default_algebra
 
@@ -22,6 +40,28 @@ WAITING_PROBE = "WAITING_PROBE"
 WAITING_RESPONSE = "WAITING_RESPONSE"
 
 SESSION_STATES = (IDLE, WAITING_PROBE, WAITING_RESPONSE)
+
+
+class _AboveEverySessionId(object):
+    """Sorts after every session id, so ``(rate, _ABOVE)`` follows every
+    ``(rate, session_id)`` index entry with the same rate."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return True
+
+
+_ABOVE = _AboveEverySessionId()
+
+
+def rate_window(index, lo, hi):
+    """Slice bounds ``(start, stop)`` of the entries of a sorted
+    ``(rate, session_id)`` index with ``lo <= rate <= hi``."""
+    return bisect_left(index, (lo,)), bisect_left(index, (hi, _ABOVE))
 
 
 class LinkState(object):
@@ -38,10 +78,12 @@ class LinkState(object):
         self._mu = {}                  # session id -> mu^e_s
         self._rate = {}                # session id -> lambda^e_s
         # Incrementally maintained sum of the F_e rates, so bottleneck_rate()
-        # is O(1).  Every mutation of F_e or of an F_e member's rate must go
-        # through the mutation methods below to keep it in sync.  Starts at
-        # integer zero so exact (Fraction-valued) algebras stay exact.
+        # is O(1).  Starts at integer zero so exact (Fraction-valued)
+        # algebras stay exact.
         self._unrestricted_load = 0
+        # Sorted (rate, session_id) indexes; see the module docstring.
+        self.idle_rated = []
+        self.free_rated = []
 
     # --------------------------------------------------------------- queries
 
@@ -75,25 +117,67 @@ class LinkState(object):
         """The maintained sum of the ``F_e`` rates (unknown rates count as 0)."""
         return self._unrestricted_load
 
-    def unrestricted_rated(self):
-        """``(session_id, lambda^e_s)`` for every ``F_e`` member with a rate."""
-        rate_table = self._rate
-        return [
-            (session_id, rate_table[session_id])
-            for session_id in self.unrestricted
-            if session_id in rate_table
-        ]
-
     def _recomputed_unrestricted_load(self):
         """The F_e load summed from scratch; used by consistency tests."""
         return sum(self._rate.get(session_id, 0.0) for session_id in self.unrestricted)
 
+    def _rebuilt_indexes(self):
+        """``(idle_rated, free_rated)`` derived from scratch; used by
+        consistency tests."""
+        rate_table = self._rate
+        idle = sorted(
+            (rate_table[session_id], session_id)
+            for session_id in self.restricted
+            if session_id in rate_table and self.state_of(session_id) == IDLE
+        )
+        free = sorted(
+            (rate_table[session_id], session_id)
+            for session_id in self.unrestricted
+            if session_id in rate_table
+        )
+        return idle, free
+
     # ------------------------------------------------------------- mutations
+
+    def _index_of(self, session_id):
+        """The index that holds (or would hold) the session, or ``None``."""
+        if session_id in self.unrestricted:
+            return self.free_rated
+        if session_id in self.restricted and self._mu.get(session_id, IDLE) == IDLE:
+            return self.idle_rated
+        return None
+
+    def _unindex(self, session_id):
+        rate = self._rate.get(session_id)
+        if rate is not None:
+            index = self._index_of(session_id)
+            if index is not None:
+                del index[bisect_left(index, (rate, session_id))]
+
+    def _reindex(self, session_id):
+        rate = self._rate.get(session_id)
+        if rate is not None:
+            index = self._index_of(session_id)
+            if index is not None:
+                insort(index, (rate, session_id))
 
     def set_state(self, session_id, state):
         if state not in SESSION_STATES:
             raise ValueError("unknown session state %r" % (state,))
-        self._mu[session_id] = state
+        # The hottest mutation, so the unindex/reindex pair is spelled out:
+        # mu only decides membership of a rated R_e session in idle_rated.
+        mu = self._mu
+        if session_id in self.restricted:
+            rate = self._rate.get(session_id)
+            if rate is not None:
+                was_idle = mu.get(session_id, IDLE) == IDLE
+                if was_idle != (state == IDLE):
+                    index = self.idle_rated
+                    if was_idle:
+                        del index[bisect_left(index, (rate, session_id))]
+                    else:
+                        insort(index, (rate, session_id))
+        mu[session_id] = state
 
     def set_capacity(self, capacity):
         """Change ``C_e`` (link-capacity dynamics); ``B_e`` follows on its own
@@ -105,27 +189,34 @@ class LinkState(object):
         self.capacity = capacity
 
     def set_rate(self, session_id, rate):
+        self._unindex(session_id)
         if session_id in self.unrestricted:
             old = self._rate.get(session_id, 0)
             self._unrestricted_load = self._unrestricted_load - old + rate
         self._rate[session_id] = rate
+        self._reindex(session_id)
 
     def add_restricted(self, session_id):
         """Put the session in ``R_e`` (removing it from ``F_e`` if needed)."""
+        self._unindex(session_id)
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
             self._drop_unrestricted_rate(session_id)
         self.restricted.add(session_id)
+        self._reindex(session_id)
 
     def add_unrestricted(self, session_id):
         """Put the session in ``F_e`` (removing it from ``R_e`` if needed)."""
+        self._unindex(session_id)
         self.restricted.discard(session_id)
         if session_id not in self.unrestricted:
             self.unrestricted.add(session_id)
             self._unrestricted_load += self._rate.get(session_id, 0)
+        self._reindex(session_id)
 
     def forget(self, session_id):
         """Drop every trace of the session (used on ``Leave``)."""
+        self._unindex(session_id)
         self.restricted.discard(session_id)
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
@@ -147,15 +238,20 @@ class LinkState(object):
         """The bottleneck-detection condition of Figure 2, lines 25 and 46:
 
         every session in ``R_e`` is IDLE and recorded at exactly ``B_e``.
+
+        ``idle_rated`` holds exactly the IDLE, rated ``R_e`` members, so the
+        condition fails when it is shorter than ``R_e`` or when its smallest
+        or largest rate is off ``B_e``; only a likely True pays the full loop.
         """
-        if not self.restricted:
+        index = self.idle_rated
+        if not self.restricted or len(index) < len(self.restricted):
             return False
         rate = self.bottleneck_rate()
-        for session_id in self.restricted:
-            if self.state_of(session_id) != IDLE:
-                return False
-            recorded = self._rate.get(session_id)
-            if recorded is None or not self.algebra.equal(recorded, rate):
+        equal = self.algebra.equal
+        if not (equal(index[0][0], rate) and equal(index[-1][0], rate)):
+            return False
+        for recorded, _session_id in index:
+            if not equal(recorded, rate):
                 return False
         return True
 

@@ -50,6 +50,19 @@ class RateAlgebra(object):
     def is_zero(self, value):
         return self.equal(value, 0.0)
 
+    def equal_window(self, value):
+        """``(lo, hi)`` such that ``equal(x, value)`` implies ``lo <= x <= hi``.
+
+        Callers that keep rates sorted bisect into this window and apply
+        :meth:`equal` (or the ordered comparisons) to each element inside it;
+        plain ``<``/``>`` decides every element outside it.  That is only
+        sound when the algebra's ordering agrees with plain ordering away from
+        the equality band, so the base class answers the whole line: an
+        algebra that does not override this degrades to a full scan, never to
+        a wrong answer.
+        """
+        return (-math.inf, math.inf)
+
     def minimum(self, values):
         """Minimum of a non-empty iterable under this algebra's ordering."""
         iterator = iter(values)
@@ -91,8 +104,80 @@ class FloatAlgebra(RateAlgebra):
             abs_tol=self.absolute_tolerance,
         )
 
+    # The ordered comparisons below are the base class's derived ones
+    # (``first < second and not equal`` and so on) expanded by hand, with the
+    # same decisions: they run millions of times per large simulation and one
+    # call each is measurably cheaper than two or three.
+
     def less(self, first, second):
-        return first < second and not self.equal(first, second)
+        return first < second and (
+            _isinf(first)
+            or _isinf(second)
+            or not _isclose(
+                first,
+                second,
+                rel_tol=self.relative_tolerance,
+                abs_tol=self.absolute_tolerance,
+            )
+        )
+
+    def greater(self, first, second):
+        return first > second and (
+            _isinf(first)
+            or _isinf(second)
+            or not _isclose(
+                first,
+                second,
+                rel_tol=self.relative_tolerance,
+                abs_tol=self.absolute_tolerance,
+            )
+        )
+
+    def less_equal(self, first, second):
+        if first <= second:
+            return True
+        if _isinf(first) or _isinf(second):
+            return False
+        return _isclose(
+            first,
+            second,
+            rel_tol=self.relative_tolerance,
+            abs_tol=self.absolute_tolerance,
+        )
+
+    def greater_equal(self, first, second):
+        if first >= second:
+            return True
+        if _isinf(first) or _isinf(second):
+            return False
+        return _isclose(
+            first,
+            second,
+            rel_tol=self.relative_tolerance,
+            abs_tol=self.absolute_tolerance,
+        )
+
+    def equal_window(self, value):
+        """``value`` plus or minus the widest gap :meth:`equal` tolerates.
+
+        ``isclose`` accepts ``|x - v| <= max(rel * max(|x|, |v|), abs)``;
+        with ``|x| <= |v| + |x - v|`` that gap is at most
+        ``max(rel * |v| / (1 - rel), abs)``.  The window is widened by a
+        millionth of that gap, which absorbs the few ulps of rounding in
+        ``isclose`` and in computing the gap; ``value +- gap`` needs no
+        margin, since rounding to nearest is monotone.
+        """
+        relative = self.relative_tolerance
+        if _isinf(value):
+            return (value, value)  # +-inf equals only itself
+        if value != value or relative >= 1.0:
+            # NaN equals nothing (and cannot be bisected); a relative
+            # tolerance of 100% or more has no finite bound.
+            return (-math.inf, math.inf)
+        magnitude = abs(value)
+        gap = max(relative * magnitude / (1.0 - relative), self.absolute_tolerance)
+        gap += gap * 1e-6
+        return (value - gap, value + gap)
 
     def __repr__(self):
         return "FloatAlgebra(rel=%g, abs=%g)" % (
@@ -134,6 +219,10 @@ class ExactAlgebra(RateAlgebra):
         if second_is_inf:
             return True
         return self._lift(first) < self._lift(second)
+
+    def equal_window(self, value):
+        """Exact equality: the window is the single point ``value``."""
+        return (value, value)
 
     def __repr__(self):
         return "ExactAlgebra()"

@@ -10,6 +10,7 @@ The model follows Section II of the paper:
 """
 
 import math
+import types
 
 ROUTER = "router"
 HOST = "host"
@@ -149,6 +150,7 @@ class Network(object):
         self._nodes = {}
         self._links = {}
         self._adjacency = {}
+        self._adjacency_view = types.MappingProxyType(self._adjacency)
         self._host_counter = 0
 
     # ------------------------------------------------------------------ nodes
@@ -243,6 +245,14 @@ class Network(object):
     def neighbors(self, node_id):
         """Node ids reachable through one outgoing link."""
         return list(self._adjacency[node_id])
+
+    def adjacency(self):
+        """Read-only mapping of node id to its out-neighbour list.
+
+        The lists are the network's own (no copy, unlike :meth:`neighbors`),
+        for hot loops such as routing; callers must not mutate them.
+        """
+        return self._adjacency_view
 
     def out_links(self, node_id):
         """Outgoing links of a node."""

@@ -43,11 +43,12 @@ def path_links(network, node_path):
 def _bfs_path(network, source, target):
     if source == target:
         return [source]
+    adjacency = network.adjacency()
     predecessor = {source: None}
     frontier = collections.deque([source])
     while frontier:
         current = frontier.popleft()
-        for neighbor in network.neighbors(current):
+        for neighbor in adjacency[current]:
             if neighbor in predecessor:
                 continue
             predecessor[neighbor] = current

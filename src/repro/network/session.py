@@ -12,6 +12,18 @@ import math
 INFINITE_RATE = math.inf
 
 
+def check_demand(demand):
+    """Raise ``ValueError`` unless ``demand`` is a positive rate.
+
+    ``math.inf`` ("no explicit limit") is legal; zero, negative values and
+    NaN are not (a NaN demand would poison every rate comparison downstream).
+    """
+    if not demand > 0:
+        raise ValueError(
+            "session demand must be positive (or math.inf), got %r" % (demand,)
+        )
+
+
 class Session(object):
     """A single-path session.
 
@@ -42,8 +54,7 @@ class Session(object):
             raise ValueError("a session path needs at least two nodes")
         if len(links) != len(node_path) - 1:
             raise ValueError("links must match the node path")
-        if demand <= 0:
-            raise ValueError("session demand must be positive, got %r" % demand)
+        check_demand(demand)
         self.session_id = session_id
         self.source = source
         self.destination = destination
@@ -158,8 +169,7 @@ class SessionRegistry(object):
 
     def update_demand(self, session_id, demand):
         """Change the maximum requested rate of a session (``API.Change``)."""
-        if demand <= 0:
-            raise ValueError("session demand must be positive, got %r" % demand)
+        check_demand(demand)
         self._sessions[session_id].demand = demand
 
     def clear(self):

@@ -175,6 +175,9 @@ class TestBaselineProtocols(object):
         protocol.change("s", 5 * MBPS)
         protocol.run(until=milliseconds(80))
         assert protocol.current_allocation().rate("s") <= 5 * MBPS * 1.001
+        for bad in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError, match="demand must be positive"):
+                protocol.change("s", bad)
 
 
 class TestBFYZTransientOverestimation(object):

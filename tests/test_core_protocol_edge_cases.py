@@ -6,9 +6,12 @@ asymmetric capacities, very small demands, WAN-scale delays on synthetic
 topologies, and redundant API usage.
 """
 
+import math
+
 import pytest
 
 from repro.core import check_stability, validate_against_oracle
+from repro.core.actions import ChangeAction, JoinAction, LeaveAction, validate_actions
 from repro.core.protocol import BNeckProtocol
 from repro.network.graph import Network
 from repro.network.topology import line_topology, single_link_topology
@@ -122,6 +125,57 @@ def test_change_demand_above_access_capacity_clamps_to_access_link():
     protocol.run_until_quiescent()
     assert application.current_rate == pytest.approx(50 * MBPS)
     assert validate_against_oracle(protocol).valid
+
+
+BAD_DEMANDS = [-5.0, 0.0, math.nan, -math.inf]
+
+
+@pytest.mark.parametrize("at", [None, 1e-3])
+@pytest.mark.parametrize("demand", BAD_DEMANDS)
+def test_change_rejects_a_bad_demand_before_scheduling_it(demand, at):
+    # A negative or zero demand used to be allocated as is, and a NaN one
+    # kept the protocol from ever quiescing.
+    network = single_link_topology(capacity=100 * MBPS)
+    protocol = BNeckProtocol(network)
+    session, application = open_bneck_session(protocol, "r0", "r1", "s", demand=40 * MBPS)
+    protocol.run_until_quiescent()
+    with pytest.raises(ValueError, match="demand must be positive"):
+        protocol.change("s", demand, at=at)
+    assert protocol.simulator.pending_events == 0
+    assert session.demand == 40 * MBPS
+    assert application.current_rate == pytest.approx(40 * MBPS)
+
+
+def test_change_to_an_infinite_demand_is_legal():
+    network = single_link_topology(capacity=100 * MBPS)
+    protocol = BNeckProtocol(network)
+    _, application = open_bneck_session(protocol, "r0", "r1", "s", demand=40 * MBPS)
+    protocol.run_until_quiescent()
+    protocol.change("s", math.inf)
+    protocol.run_until_quiescent()
+    assert application.current_rate == pytest.approx(100 * MBPS)
+    assert validate_against_oracle(protocol).valid
+
+
+@pytest.mark.parametrize("demand", BAD_DEMANDS)
+def test_a_bad_action_demand_rejects_the_whole_batch(demand):
+    network = single_link_topology(capacity=100 * MBPS)
+    protocol = BNeckProtocol(network)
+    open_bneck_session(protocol, "r0", "r1", "s", demand=40 * MBPS)
+    protocol.run_until_quiescent()
+    hosts = network.number_of_nodes()
+    for bad in (
+        JoinAction("new", "r0", "r1", demand, 1e-3, 100 * MBPS, 1e-6),
+        ChangeAction("s", demand, 1e-3),
+    ):
+        with pytest.raises(ValueError, match="positive demand"):
+            validate_actions([bad])
+        with pytest.raises(ValueError, match="positive demand"):
+            protocol.apply_actions([LeaveAction("s", 1e-3), bad])
+    # Nothing of either batch was scheduled or attached.
+    assert protocol.simulator.pending_events == 0
+    assert network.number_of_nodes() == hosts
+    assert "s" in protocol.registry
 
 
 def test_repeated_identical_change_requests_are_stable():

@@ -58,6 +58,19 @@ def _populated_protocol(key, trace_packets=True):
     return protocol
 
 
+STOCHASTIC_KEYS = sorted(key for key in CROSS_ENGINE_GOLDENS if key.startswith("stochastic-"))
+
+
+def _assert_link_bookkeeping_in_sync(protocol):
+    states = protocol.all_link_states()
+    assert any(state.idle_rated or state.free_rated for state in states)
+    for state in states:
+        assert state.unrestricted_load() == pytest.approx(
+            state._recomputed_unrestricted_load(), rel=1e-12, abs=1e-6
+        )
+        assert (state.idle_rated, state.free_rated) == state._rebuilt_indexes()
+
+
 def _run_scenario(key, trace_packets=True):
     protocol = _populated_protocol(key, trace_packets=trace_packets)
     quiescence = protocol.run_until_quiescent()
@@ -107,14 +120,27 @@ class TestSeedDeterminism(object):
         allocation = protocol.current_allocation().as_dict()
         assert {sid: repr(rate) for sid, rate in allocation.items()} == golden["allocation"]
 
-    def test_incremental_unrestricted_load_stays_in_sync(self):
-        protocol, _ = _run_scenario(sorted(GOLDENS)[0])
-        states = protocol.all_link_states()
-        assert states
-        for state in states:
-            assert state.unrestricted_load() == pytest.approx(
-                state._recomputed_unrestricted_load(), rel=1e-12, abs=1e-6
+    @pytest.mark.parametrize("key", sorted(GOLDENS) + STOCHASTIC_KEYS)
+    def test_incremental_unrestricted_load_stays_in_sync(self, key):
+        # The running F_e load and the two sorted rate indexes must equal
+        # what R_e/F_e/mu/lambda give when derived from scratch, mid-burst
+        # and after quiescence (or after the churn or capacity scenario).
+        if key in GOLDENS:
+            protocol = _populated_protocol(key)
+            protocol.run(until=float(GOLDENS[key]["quiescence"]) / 2)
+            _assert_link_bookkeeping_in_sync(protocol)
+            protocol.run_until_quiescent()
+        else:
+            golden = CROSS_ENGINE_GOLDENS[key]["sequential"]
+            _prefix, _workload, size, delay, seed = key.rsplit("-", 4)
+            spec = ScenarioSpec(
+                size=size, delay_model=delay, seed=int(seed[1:]),
+                workload=golden["workload"],
             )
+            runner = ExperimentRunner(spec)
+            runner.run_scenario()
+            protocol = runner.protocol
+        _assert_link_bookkeeping_in_sync(protocol)
 
 
 class TestMultiPhaseChurnDeterminism(object):

@@ -88,6 +88,15 @@ class TestTopologyQueries(object):
         assert len(out) == 1
         assert out[0].endpoints == ("a", "b")
 
+    def test_adjacency_is_a_live_read_only_view(self, two_router_network):
+        adjacency = two_router_network.adjacency()
+        assert adjacency["a"] == ["b"]
+        with pytest.raises(TypeError):
+            adjacency["a"] = []
+        host = two_router_network.attach_host("a", 10 * MBPS, 1e-6)
+        assert adjacency["a"] == ["b", host.node_id]
+        assert adjacency[host.node_id] == ["a"]
+
     def test_counting(self, two_router_network):
         assert two_router_network.number_of_nodes() == 2
         assert two_router_network.number_of_links() == 2

@@ -1,10 +1,14 @@
 """Unit tests for shortest-path routing."""
 
+import collections
+import random
+
 import pytest
 
 from repro.network.graph import Network
 from repro.network.routing import PathComputer, path_links, shortest_path
 from repro.network.topology import line_topology, star_topology
+from repro.network.transit_stub import LAN, medium_network, stub_routers
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
 
@@ -108,3 +112,77 @@ class TestPathComputer(object):
         first.append("tampered")
         second = computer.router_route("leaf0", "leaf1")
         assert "tampered" not in second
+
+
+def _reference_bfs_path(network, source, target):
+    """Plain breadth-first search that enqueues every node it discovers."""
+    if source == target:
+        return [source]
+    predecessor = {source: None}
+    frontier = collections.deque([source])
+    while frontier:
+        current = frontier.popleft()
+        for neighbor in network.neighbors(current):
+            if neighbor in predecessor:
+                continue
+            predecessor[neighbor] = current
+            if neighbor == target:
+                path = [target]
+                while predecessor[path[-1]] is not None:
+                    path.append(predecessor[path[-1]])
+                return path[::-1]
+            frontier.append(neighbor)
+    return None
+
+
+def _random_graph_with_leaves(seed):
+    rng = random.Random(seed)
+    network = Network()
+    routers = ["r%d" % index for index in range(rng.randint(5, 30))]
+    for router in routers:
+        network.add_router(router)
+    for index in range(1, len(routers)):
+        network.add_link(routers[index], rng.choice(routers[:index]), MBPS, 1e-6)
+    for _ in range(rng.randint(0, 2 * len(routers))):
+        first, second = rng.sample(routers, 2)
+        if not network.has_link(first, second):
+            network.add_link(first, second, MBPS, 1e-6)
+    for _ in range(rng.randint(0, 6)):
+        # One-way links: adjacency is directed.
+        first, second = rng.sample(routers, 2)
+        if not network.has_link(first, second):
+            network.add_link(first, second, MBPS, 1e-6, bidirectional=False)
+    for _ in range(rng.randint(1, 3 * len(routers))):
+        network.attach_host(rng.choice(routers), MBPS, 1e-6)
+    return network, rng
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bfs_matches_the_reference_on_random_graphs_with_leaves(seed):
+    network, rng = _random_graph_with_leaves(seed)
+    nodes = [node.node_id for node in network.nodes()]
+    for _ in range(60):
+        source, target = rng.choice(nodes), rng.choice(nodes)
+        expected = _reference_bfs_path(network, source, target)
+        if expected is None:
+            with pytest.raises(ValueError):
+                shortest_path(network, source, target)
+        else:
+            assert shortest_path(network, source, target) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 3, 1009])
+def test_bfs_matches_the_reference_on_transit_stub_with_hosts(seed):
+    network = medium_network(LAN, seed=seed)
+    rng = random.Random(seed)
+    stubs = list(stub_routers(network))
+    for _ in range(300):
+        network.attach_host(rng.choice(stubs), MBPS, 1e-6)
+    routers = [node.node_id for node in network.routers()]
+    hosts = [node.node_id for node in network.hosts()]
+    for _ in range(150):
+        source = rng.choice(routers + hosts)
+        target = rng.choice(routers + hosts)
+        assert shortest_path(network, source, target) == _reference_bfs_path(
+            network, source, target
+        )

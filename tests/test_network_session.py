@@ -43,6 +43,14 @@ class TestSession(object):
             Session("bad2", session.source, session.destination,
                     session.node_path, session.links, demand=0.0)
 
+    @pytest.mark.parametrize("demand", [0.0, -5.0, math.nan, -math.inf])
+    def test_non_positive_or_nan_demand_rejected(self, demand):
+        network = line_topology(2)
+        session = make_session(network, "ok", "r0", "r1")
+        with pytest.raises(ValueError, match="demand must be positive"):
+            Session("bad", session.source, session.destination,
+                    session.node_path, session.links, demand=demand)
+
     def test_equality_and_hash_by_id(self, parking_lot_network):
         first = make_session(parking_lot_network, "same", "r0", "r1")
         second = make_session(parking_lot_network, "same", "r1", "r2")
@@ -104,8 +112,12 @@ class TestSessionRegistry(object):
         registry.add(session)
         registry.update_demand("s1", 5 * MBPS)
         assert session.demand == 5 * MBPS
-        with pytest.raises(ValueError):
-            registry.update_demand("s1", 0.0)
+        for bad in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="demand must be positive"):
+                registry.update_demand("s1", bad)
+        assert session.demand == 5 * MBPS
+        registry.update_demand("s1", math.inf)
+        assert session.demand == math.inf
 
     def test_iteration_and_active_sessions(self, parking_lot_network):
         registry = SessionRegistry()
