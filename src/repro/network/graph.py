@@ -83,10 +83,23 @@ class Link(object):
         propagation_delay,
         control_packet_bits=DEFAULT_CONTROL_PACKET_BITS,
     ):
-        if capacity <= 0:
-            raise ValueError("link capacity must be positive, got %r" % capacity)
-        if propagation_delay < 0:
-            raise ValueError("propagation delay must be non-negative")
+        # Every comparison with NaN is false, so these negated range tests
+        # reject NaN as well as out-of-range and infinite values.
+        if not 0 < capacity < math.inf:
+            raise ValueError(
+                "link %r -> %r: capacity must be positive and finite, got %r"
+                % (source, target, capacity)
+            )
+        if not 0 <= propagation_delay < math.inf:
+            raise ValueError(
+                "link %r -> %r: propagation delay must be finite and "
+                "non-negative, got %r" % (source, target, propagation_delay)
+            )
+        if not 0 < control_packet_bits < math.inf:
+            raise ValueError(
+                "link %r -> %r: control packet size must be positive and "
+                "finite, got %r" % (source, target, control_packet_bits)
+            )
         self.source = source
         self.target = target
         self.capacity = capacity
@@ -151,6 +164,9 @@ class Network(object):
         self._links = {}
         self._adjacency = {}
         self._adjacency_view = types.MappingProxyType(self._adjacency)
+        # Built on the first in_adjacency() call, then kept in step.
+        self._in_adjacency = None
+        self._in_adjacency_view = None
         self._host_counter = 0
 
     # ------------------------------------------------------------------ nodes
@@ -168,6 +184,8 @@ class Network(object):
             raise ValueError("duplicate node id %r" % (node.node_id,))
         self._nodes[node.node_id] = node
         self._adjacency[node.node_id] = []
+        if self._in_adjacency is not None:
+            self._in_adjacency[node.node_id] = []
         return node
 
     def node(self, node_id):
@@ -225,6 +243,8 @@ class Network(object):
         link = Link(source, target, capacity, propagation_delay, control_bits)
         self._links[key] = link
         self._adjacency[source].append(target)
+        if self._in_adjacency is not None:
+            self._in_adjacency[target].append(source)
         return link
 
     def link(self, source, target):
@@ -253,6 +273,25 @@ class Network(object):
         for hot loops such as routing; callers must not mutate them.
         """
         return self._adjacency_view
+
+    def in_adjacency(self):
+        """Read-only mapping of node id to its in-neighbour list.
+
+        The mirror of :meth:`adjacency` (``u`` is listed under ``v`` once per
+        link ``u -> v``, in link insertion order), used by the backward half
+        of hop routing.  It is built on the first call rather than with the
+        network, so building a topology pays nothing for it; from then on
+        adding nodes and links keeps it up to date.  As with
+        :meth:`adjacency`, the lists are the network's own and callers must
+        not mutate them.
+        """
+        if self._in_adjacency is None:
+            in_adjacency = {node_id: [] for node_id in self._nodes}
+            for source, target in self._links:
+                in_adjacency[target].append(source)
+            self._in_adjacency = in_adjacency
+            self._in_adjacency_view = types.MappingProxyType(in_adjacency)
+        return self._in_adjacency_view
 
     def out_links(self, node_id):
         """Outgoing links of a node."""

@@ -103,7 +103,7 @@ class EventQueue(object):
         The returned event is the cancellation handle; use
         :meth:`push_callback` instead when the caller will never cancel.
         """
-        if time < 0:
+        if not time >= 0:  # also rejects NaN
             raise ValueError("event time must be non-negative, got %r" % time)
         sequence = next(self._counter)
         event = Event(time, sequence, callback, tag=tag)
@@ -120,7 +120,7 @@ class EventQueue(object):
         sequence counter is shared), so mixing bare and cancellable entries
         preserves full (time, sequence) determinism.
         """
-        if time < 0:
+        if not time >= 0:  # also rejects NaN
             raise ValueError("event time must be non-negative, got %r" % time)
         heapq.heappush(self._heap, (time, next(self._counter), callback, tag, None))
         self._live += 1

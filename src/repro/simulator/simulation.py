@@ -117,13 +117,13 @@ class Simulator(object):
 
     def schedule(self, delay, callback, tag=None):
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError("delay must be non-negative, got %r" % delay)
         return self._queue.push(self._now + delay, callback, tag=tag)
 
     def schedule_at(self, time, callback, tag=None):
         """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 "cannot schedule in the past (now=%r, requested=%r)" % (self._now, time)
             )
@@ -137,7 +137,7 @@ class Simulator(object):
         handle, so nothing is returned and the entry cannot be cancelled.
         Ordering is identical to :meth:`schedule`.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError("delay must be non-negative, got %r" % delay)
         self._queue.push_callback(self._now + delay, callback, tag=tag)
 
@@ -161,7 +161,7 @@ class Simulator(object):
         invisible to ``events_processed``, quiescence times and safety caps.
         The callback must not schedule simulation events.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError("delay must be non-negative, got %r" % delay)
         heapq.heappush(
             self._timers, (self._now + delay, next(self._timer_counter), callback)

@@ -1,5 +1,7 @@
 """Unit tests for the network graph model."""
 
+import math
+
 import pytest
 
 from repro.network.graph import Link, Network
@@ -66,6 +68,39 @@ class TestNodesAndLinks(object):
             Link("a", "b", 0.0, 1e-6)
         with pytest.raises(ValueError):
             Link("a", "b", 10 * MBPS, -1e-6)
+
+    @pytest.mark.parametrize(
+        "capacity, delay, control_bits",
+        [
+            (math.nan, 1e-6, 512.0),
+            (math.inf, 1e-6, 512.0),
+            (10 * MBPS, math.nan, 512.0),
+            (10 * MBPS, math.inf, 512.0),
+            (10 * MBPS, 1e-6, math.nan),
+            (10 * MBPS, 1e-6, math.inf),
+            (10 * MBPS, 1e-6, 0.0),
+        ],
+        ids=[
+            "capacity-nan",
+            "capacity-inf",
+            "delay-nan",
+            "delay-inf",
+            "control-bits-nan",
+            "control-bits-inf",
+            "control-bits-zero",
+        ],
+    )
+    def test_non_finite_link_parameters_rejected(self, capacity, delay, control_bits):
+        with pytest.raises(ValueError, match="'r1' -> 'r2'"):
+            Link("r1", "r2", capacity, delay, control_packet_bits=control_bits)
+        network = Network()
+        network.add_router("r1")
+        network.add_router("r2")
+        with pytest.raises(ValueError):
+            network.add_link(
+                "r1", "r2", capacity, delay, control_packet_bits=control_bits
+            )
+        assert network.number_of_links() == 0
 
     def test_control_delay_combines_propagation_and_transmission(self):
         link = Link("a", "b", 100 * MBPS, microseconds(5), control_packet_bits=1000.0)

@@ -8,7 +8,13 @@ import pytest
 from repro.network.graph import Network
 from repro.network.routing import PathComputer, path_links, shortest_path
 from repro.network.topology import line_topology, star_topology
-from repro.network.transit_stub import LAN, medium_network, stub_routers
+from repro.network.transit_stub import (
+    LAN,
+    PAPER_MEDIUM_PARAMETERS,
+    generate_transit_stub,
+    medium_network,
+    stub_routers,
+)
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
 
@@ -58,6 +64,18 @@ def test_no_path_raises():
     network.add_router("b")
     with pytest.raises(ValueError):
         shortest_path(network, "a", "b")
+
+
+@pytest.mark.parametrize("metric", ["hops", "delay"])
+@pytest.mark.parametrize(
+    "source, target",
+    [("ghost", "r1"), ("r0", "ghost"), ("ghost", "ghost")],
+    ids=["unknown-source", "unknown-target", "unknown-source-equals-target"],
+)
+def test_unknown_endpoint_raises_key_error_naming_it(metric, source, target):
+    network = line_topology(2)
+    with pytest.raises(KeyError, match="'ghost'"):
+        shortest_path(network, source, target, metric=metric)
 
 
 def test_path_links_matches_node_path():
@@ -171,18 +189,199 @@ def test_bfs_matches_the_reference_on_random_graphs_with_leaves(seed):
             assert shortest_path(network, source, target) == expected
 
 
-@pytest.mark.parametrize("seed", [1, 3, 1009])
-def test_bfs_matches_the_reference_on_transit_stub_with_hosts(seed):
-    network = medium_network(LAN, seed=seed)
-    rng = random.Random(seed)
+def _assert_matches_reference_with_hosts(network, rng, hosts, pairs):
     stubs = list(stub_routers(network))
-    for _ in range(300):
+    for _ in range(hosts):
         network.attach_host(rng.choice(stubs), MBPS, 1e-6)
-    routers = [node.node_id for node in network.routers()]
-    hosts = [node.node_id for node in network.hosts()]
-    for _ in range(150):
-        source = rng.choice(routers + hosts)
-        target = rng.choice(routers + hosts)
+    nodes = [node.node_id for node in network.nodes()]
+    for _ in range(pairs):
+        source = rng.choice(nodes)
+        target = rng.choice(nodes)
         assert shortest_path(network, source, target) == _reference_bfs_path(
             network, source, target
         )
+
+
+@pytest.mark.parametrize("seed", [1, 3, 1009])
+def test_bfs_matches_the_reference_on_transit_stub_with_hosts(seed):
+    network = medium_network(LAN, seed=seed)
+    _assert_matches_reference_with_hosts(network, random.Random(seed), 300, 150)
+
+
+def test_bfs_matches_the_reference_on_paper_medium_with_hosts():
+    network = generate_transit_stub(PAPER_MEDIUM_PARAMETERS, LAN, seed=3)
+    _assert_matches_reference_with_hosts(network, random.Random(11), 400, 200)
+
+
+def _shortest_path_count(network, source, target):
+    """Number of distinct shortest ``source -> target`` paths (0 if unreachable)."""
+    distance = {source: 0}
+    count = {source: 1}
+    frontier = collections.deque([source])
+    while frontier:
+        current = frontier.popleft()
+        for neighbor in network.neighbors(current):
+            if neighbor not in distance:
+                distance[neighbor] = distance[current] + 1
+                count[neighbor] = 0
+                frontier.append(neighbor)
+            if distance[neighbor] == distance[current] + 1:
+                count[neighbor] += count[current]
+    return count.get(target, 0)
+
+
+def _network_from_edges(nodes, edges, rng, one_way_fraction):
+    """Routers ``nodes`` joined by ``edges``, added in a shuffled order.
+
+    The shuffle scrambles adjacency order, which decides between equal-length
+    paths; each edge is one-way, in a random direction, with probability
+    ``one_way_fraction``.
+    """
+    network = Network()
+    for node in nodes:
+        network.add_router(node)
+    edges = list(edges)
+    rng.shuffle(edges)
+    for first, second in edges:
+        if rng.random() < one_way_fraction:
+            if rng.random() < 0.5:
+                first, second = second, first
+            network.add_link(first, second, MBPS, 1e-6, bidirectional=False)
+        else:
+            network.add_link(first, second, MBPS, 1e-6)
+    return network
+
+
+def _grid_edges(rows, columns, wrap):
+    """Nodes and edges of a ``rows`` x ``columns`` grid (a torus if ``wrap``)."""
+    def name(row, column):
+        return "g%d_%d" % (row % rows, column % columns)
+
+    edges = []
+    for row in range(rows):
+        for column in range(columns):
+            if column + 1 < columns or wrap:
+                edges.append((name(row, column), name(row, column + 1)))
+            if row + 1 < rows or wrap:
+                edges.append((name(row, column), name(row + 1, column)))
+    nodes = [name(row, column) for row in range(rows) for column in range(columns)]
+    return nodes, edges
+
+
+def _layered_bipartite_edges(layers, width):
+    """Complete bipartite graphs between consecutive layers of ``width`` nodes."""
+    def name(layer, index):
+        return "l%d_%d" % (layer, index)
+
+    nodes = [name(layer, index) for layer in range(layers) for index in range(width)]
+    edges = [
+        (name(layer, first), name(layer + 1, second))
+        for layer in range(layers - 1)
+        for first in range(width)
+        for second in range(width)
+    ]
+    return nodes, edges
+
+
+TIE_BREAKING_SHAPES = {
+    "grid": lambda: _grid_edges(7, 9, wrap=False),
+    "torus": lambda: _grid_edges(6, 8, wrap=True),
+    "layered-bipartite": lambda: _layered_bipartite_edges(6, 5),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("one_way_fraction", [0.0, 0.2], ids=["two-way", "one-way"])
+@pytest.mark.parametrize("shape", sorted(TIE_BREAKING_SHAPES))
+def test_bfs_matches_the_reference_where_ties_decide_the_path(
+    shape, one_way_fraction, seed
+):
+    rng = random.Random(seed)
+    nodes, edges = TIE_BREAKING_SHAPES[shape]()
+    network = _network_from_edges(nodes, edges, rng, one_way_fraction)
+    tied = 0
+    for _ in range(80):
+        source, target = rng.sample(nodes, 2)
+        expected = _reference_bfs_path(network, source, target)
+        if expected is None:
+            with pytest.raises(ValueError):
+                shortest_path(network, source, target)
+            continue
+        assert shortest_path(network, source, target) == expected
+        tied += _shortest_path_count(network, source, target) > 1
+    # Most pairs have a choice of shortest paths, so tie-breaking is tested.
+    assert tied >= 40
+
+
+def test_bfs_on_disconnected_pairs_and_trivial_routes():
+    rng = random.Random(5)
+    nodes, edges = _grid_edges(4, 4, wrap=False)
+    network = _network_from_edges(nodes, edges, rng, 0.0)
+    # A second component, reachable from the grid only through one-way links,
+    # and an isolated router.
+    for name in ("island0", "island1", "island2", "isolated"):
+        network.add_router(name)
+    network.add_link("island0", "island1", MBPS, 1e-6)
+    network.add_link("g0_0", "island2", MBPS, 1e-6, bidirectional=False)
+    network.add_link("island2", "island0", MBPS, 1e-6, bidirectional=False)
+    all_nodes = [node.node_id for node in network.nodes()]
+    unreachable = 0
+    for source in all_nodes:
+        assert shortest_path(network, source, source) == [source]
+        for target in all_nodes:
+            if source == target:
+                continue
+            expected = _reference_bfs_path(network, source, target)
+            if expected is None:
+                unreachable += 1
+                with pytest.raises(ValueError):
+                    shortest_path(network, source, target)
+            else:
+                assert shortest_path(network, source, target) == expected
+    assert shortest_path(network, "g3_3", "island1")[-3:] == [
+        "island2",
+        "island0",
+        "island1",
+    ]
+    with pytest.raises(ValueError):
+        shortest_path(network, "island1", "g3_3")
+    assert unreachable > 0
+
+
+def _rebuilt_in_adjacency(network):
+    in_adjacency = {node.node_id: [] for node in network.nodes()}
+    for link in network.links():
+        in_adjacency[link.target].append(link.source)
+    return in_adjacency
+
+
+def test_in_adjacency_stays_in_step_as_the_network_grows():
+    network, rng = _random_graph_with_leaves(7)
+    nodes = [node.node_id for node in network.nodes()]
+    assert shortest_path(network, nodes[0], nodes[-1]) == _reference_bfs_path(
+        network, nodes[0], nodes[-1]
+    )
+    view = network.in_adjacency()
+    assert dict(view) == _rebuilt_in_adjacency(network)
+    with pytest.raises(TypeError):
+        view["intruder"] = []
+    # Grow the network after the view exists: routers, two-way and one-way
+    # links, and hosts.
+    for index in range(5):
+        network.add_router("late%d" % index)
+        network.add_link("late%d" % index, rng.choice(nodes), MBPS, 1e-6)
+    network.add_link("late0", "late1", MBPS, 1e-6, bidirectional=False)
+    network.add_link("late4", "late2", MBPS, 1e-6, bidirectional=False)
+    for _ in range(4):
+        network.attach_host(rng.choice(["late0", "late3", nodes[1]]), MBPS, 1e-6)
+    assert network.in_adjacency() is view
+    assert dict(view) == _rebuilt_in_adjacency(network)
+    everything = [node.node_id for node in network.nodes()]
+    for source in everything:
+        for target in ("late1", "late2", everything[-1], nodes[0]):
+            expected = _reference_bfs_path(network, source, target)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    shortest_path(network, source, target)
+            else:
+                assert shortest_path(network, source, target) == expected

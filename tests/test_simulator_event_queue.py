@@ -1,5 +1,7 @@
 """Unit tests for the event queue."""
 
+import math
+
 import pytest
 
 from repro.simulator.event_queue import EventQueue
@@ -78,6 +80,14 @@ def test_negative_time_rejected():
     queue = EventQueue()
     with pytest.raises(ValueError):
         queue.push(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("method", ["push", "push_callback"])
+def test_nan_time_rejected(method):
+    queue = EventQueue()
+    with pytest.raises(ValueError):
+        getattr(queue, method)(math.nan, lambda: None)
+    assert len(queue) == 0 and queue.peek_time() is None
 
 
 def test_clear_drops_everything():

@@ -1,5 +1,7 @@
 """Unit tests for the simulation loop."""
 
+import math
+
 import pytest
 
 from repro.simulator.errors import SimulationLimitExceeded
@@ -62,6 +64,17 @@ def test_schedule_at_in_the_past_rejected(simulator):
     simulator.run_until_quiescent()
     with pytest.raises(ValueError):
         simulator.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize(
+    "method", ["schedule", "schedule_at", "schedule_callback", "schedule_bookkeeping"]
+)
+def test_nan_time_rejected(simulator, method):
+    # ``nan < 0`` is false, so a sign test alone would let a NaN heap key in.
+    with pytest.raises(ValueError):
+        getattr(simulator, method)(math.nan, lambda: None)
+    assert simulator.pending_events == 0
+    assert simulator.pending_bookkeeping == 0
 
 
 def test_schedule_at_absolute_time(simulator):
