@@ -36,13 +36,13 @@ class DestinationNodeTask(Process):
         self.left = False
 
     def _send_upstream(self, packet):
-        self.protocol.forward_upstream_from_destination(self.session_id, packet)
+        self.protocol.forward_upstream(self.link_id, packet)
 
     # Packet-type -> unbound handler, built once at class definition time (see
     # the assignment below the handler definitions).
     _DISPATCH = None
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         if self.left:
             return
         handler = self._DISPATCH.get(message.__class__)

@@ -70,23 +70,23 @@ UPSTREAM = "upstream"
 
 
 class _SessionWiring(object):
-    """Per-session forwarding table: ordered protocol stages, path links and
-    the reverse of each path link (what upstream packets cross)."""
+    """Per-session forwarding table: ordered protocol stages, path links, the
+    reverse of each path link (what upstream packets cross) and the control
+    delay of each, by position along the path."""
 
-    __slots__ = ("session", "stages", "links", "reverse_links", "index_by_key")
+    __slots__ = ("stages", "links", "reverse_links", "down_delays", "up_delays",
+                 "index_by_key")
 
     def __init__(self, session, stages, links, reverse_links):
-        self.session = session
         self.stages = stages
         self.links = links
         self.reverse_links = reverse_links
-        self.index_by_key = {}
+        self.down_delays = [link.control_delay() for link in links]
+        self.up_delays = [link.control_delay() for link in reverse_links]
         # Stage 0 (the source) is addressed by the access link it owns; stages
         # 1..k by the link their RouterLink controls; the destination by a
         # dedicated key.
-        self.index_by_key[links[0].endpoints] = 0
-        for position in range(1, len(links)):
-            self.index_by_key[links[position].endpoints] = position
+        self.index_by_key = {link.endpoints: position for position, link in enumerate(links)}
         self.index_by_key[("destination", session.session_id)] = len(links)
 
 
@@ -101,8 +101,9 @@ class BNeckProtocol(object):
         routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         trace_packets: when false (and no explicit ``tracer`` is given) a
             :class:`~repro.simulator.tracing.NullPacketTracer` is installed
-            and the per-packet accounting in :meth:`_transmit` is skipped
+            and the forwarding methods skip the per-packet accounting
             entirely -- use for runs that only report times, not counts.
+            Assigning ``tracer`` later switches the accounting to match.
         notification_log: where ``API.Rate`` records are kept -- ``"full"``
             (default, unbounded), ``"ring"`` / ``"ring:N"``, ``"null"``, or a
             log object (see :func:`repro.core.notifications.make_notification_log`).
@@ -125,9 +126,6 @@ class BNeckProtocol(object):
         if tracer is None:
             tracer = PacketTracer() if trace_packets else NullPacketTracer()
         self.tracer = tracer
-        # Hoisted once: _transmit runs per packet and must not pay a dynamic
-        # getattr there.  Rebind this flag if you ever swap `tracer` later.
-        self._trace_packets = getattr(tracer, "enabled", True)
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network, metric=routing_metric)
         self._router_links = {}
@@ -147,8 +145,23 @@ class BNeckProtocol(object):
         self.notification_batch_window = notification_batch_window
         self._pending_rates = {}
         self.rate_callbacks = 0
-        self.in_flight_packets = 0
         self._session_counter = 0
+
+    @property
+    def tracer(self):
+        """The packet tracer; assigning one also sets the per-packet flag."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer):
+        self._tracer = tracer
+        # Read once per packet by the forwarding methods.
+        self._trace_packets = getattr(tracer, "enabled", True)
+
+    @property
+    def in_flight_packets(self):
+        """Control packets sent but not yet delivered (each is one delivery)."""
+        return self.simulator.pending_deliveries
 
     # ------------------------------------------------------------------ actions
 
@@ -327,51 +340,34 @@ class BNeckProtocol(object):
         """Deliver ``packet`` to the next stage of its session's path."""
         wiring = self._wirings[packet.session_id]
         index = wiring.index_by_key[link_id]
-        crossing = wiring.links[index]
-        target = wiring.stages[index + 1]
-        self._transmit(packet, crossing, target, DOWNSTREAM)
+        type_name = packet.type_name
+        if self._trace_packets:
+            self._tracer.record(self.simulator.now, type_name, packet.session_id,
+                                wiring.links[index].endpoints, DOWNSTREAM)
+        self.simulator.schedule_delivery(
+            wiring.down_delays[index], wiring.stages[index + 1].receive, packet, type_name
+        )
 
     def forward_upstream(self, link_id, packet):
-        """Deliver ``packet`` to the previous stage of its session's path."""
+        """Deliver ``packet`` to the previous stage of its session's path
+        (the destination sends from its key ``("destination", session_id)``)."""
         wiring = self._wirings[packet.session_id]
-        index = wiring.index_by_key[link_id]
-        if index == 0:
+        index = wiring.index_by_key[link_id] - 1
+        if index < 0:
             # The source is the first stage; nothing lies upstream of it.
             return
-        crossing = wiring.reverse_links[index - 1]
-        target = wiring.stages[index - 1]
-        self._transmit(packet, crossing, target, UPSTREAM)
+        type_name = packet.type_name
+        if self._trace_packets:
+            self._tracer.record(self.simulator.now, type_name, packet.session_id,
+                                wiring.reverse_links[index].endpoints, UPSTREAM)
+        self.simulator.schedule_delivery(
+            wiring.up_delays[index], wiring.stages[index].receive, packet, type_name
+        )
 
     # A RouterLink that originates an Update/Bottleneck for *another* session
     # uses the same routing logic: the packet starts at this link's position in
     # that session's path and travels towards that session's source.
     send_upstream_from = forward_upstream
-
-    def forward_upstream_from_destination(self, session_id, packet):
-        """Deliver a packet sent upstream by the destination node."""
-        wiring = self._wirings[session_id]
-        crossing = wiring.reverse_links[-1]
-        target = wiring.stages[-2]
-        self._transmit(packet, crossing, target, UPSTREAM)
-
-    def _transmit(self, packet, link, target, direction):
-        if self._trace_packets:
-            self.tracer.record(
-                self.simulator.now,
-                packet.type_name,
-                packet.session_id,
-                link=link.endpoints,
-                direction=direction,
-            )
-        self.in_flight_packets += 1
-
-        def deliver():
-            self.in_flight_packets -= 1
-            target.receive(packet, None)
-
-        # Packet deliveries are never cancelled: store the bare callback (no
-        # Event handle allocation) on the queue's fast path.
-        self.simulator.schedule_callback(link.control_delay(), deliver, tag=packet.type_name)
 
     # --------------------------------------------------------------- API.Rate
 

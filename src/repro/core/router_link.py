@@ -71,7 +71,7 @@ class RouterLinkTask(Process):
     # single dict lookup per packet instead of rebuilding the table.
     _DISPATCH = None
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         handler = self._DISPATCH.get(message.__class__)
         if handler is None:
             raise TypeError("%s cannot handle %r" % (self.name, message))

@@ -108,7 +108,7 @@ class SourceNodeTask(Process):
     # the assignment below the handler definitions).
     _DISPATCH = None
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         if self.left:
             # Packets may still be in flight after API.Leave; they concern a
             # session that no longer exists and are dropped.

@@ -72,6 +72,7 @@ class Link(object):
         "capacity",
         "propagation_delay",
         "control_packet_bits",
+        "endpoints",
         "_control_delay",
     )
 
@@ -102,6 +103,8 @@ class Link(object):
             )
         self.source = source
         self.target = target
+        # The link's key everywhere (RouterLinks, paths, packet records).
+        self.endpoints = (source, target)
         self.capacity = capacity
         self.propagation_delay = propagation_delay
         self.control_packet_bits = control_packet_bits
@@ -110,10 +113,6 @@ class Link(object):
         # when `set_capacity` later changes the data-plane bandwidth, because
         # the paper's control traffic does not consume data bandwidth.
         self._control_delay = propagation_delay + control_packet_bits / capacity
-
-    @property
-    def endpoints(self):
-        return (self.source, self.target)
 
     def control_delay(self):
         """One-way delay experienced by a control packet on this link."""

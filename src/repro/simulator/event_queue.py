@@ -9,33 +9,32 @@ B-Neck against the centralized oracle.
 Heap micro-layout
 -----------------
 
-The heap stores flat ``(time, sequence, callback, tag, event)`` tuples: tuple
-comparisons run entirely in C, so sift-up and sift-down never call back into
-Python on the hot path.  Two entry flavours share that layout:
+The heap holds flat ``(time, sequence, function, argument, tag, event)``
+tuples; firing one is the single call ``function(argument)``.  Comparisons
+stop at the unique ``sequence``, so sifting runs entirely in C.  Two flavours
+share the layout:
 
-* **Cancellable entries** (:meth:`EventQueue.push`) additionally allocate an
-  :class:`Event` handle (the fifth tuple slot) that callers use with
-  :meth:`EventQueue.cancel`.
-* **Bare entries** (:meth:`EventQueue.push_callback`) carry ``None`` in the
-  event slot and allocate nothing beyond the tuple.  The vast majority of
-  simulation events are packet deliveries that are never cancelled; storing
-  them bare skips one object allocation (and its GC tracking) per packet.
+* **Deliveries** (:meth:`EventQueue.push_delivery`), the packet majority,
+  hold a receiver and its message and ``None`` as the event: no closure, no
+  handle, no cancellation.
+* **Cancellable entries** (:meth:`EventQueue.push`) hold :func:`_invoke` and
+  a zero-argument callback, plus the :class:`Event` handle that
+  :meth:`EventQueue.cancel` takes.
 
-The simulation loop consumes raw tuples through :meth:`EventQueue.pop_entry`;
-:meth:`EventQueue.pop` keeps the historical Event-returning interface for
-callers that want a handle (synthesizing an already-consumed :class:`Event`
-for bare entries).
+Nothing is counted per entry: the live count is the heap size minus the
+cancelled entries not yet popped, and :attr:`EventQueue.pending_deliveries`
+counts the handle-less entries.  The loop takes raw tuples from
+:meth:`EventQueue.pop_entry` or pops the heap itself
+(:meth:`repro.simulator.simulation.Simulator._drain_fast`).
 """
 
 import heapq
 import itertools
 
-# Indices into the (time, sequence, callback, tag, event) heap entries.
-ENTRY_TIME = 0
-ENTRY_SEQUENCE = 1
-ENTRY_CALLBACK = 2
-ENTRY_TAG = 3
-ENTRY_EVENT = 4
+
+def _invoke(callback):
+    """Fire a cancellable entry, whose argument is its callback."""
+    callback()
 
 
 class Event(object):
@@ -45,7 +44,8 @@ class Event(object):
         time: absolute simulation time at which the event fires.
         sequence: insertion counter used for deterministic tie-breaking.
         callback: zero-argument callable executed when the event fires.
-        cancelled: set by :meth:`cancel`; cancelled events are skipped.
+        cancelled: set by :meth:`EventQueue.cancel`; cancelled events are
+            skipped.
         consumed: set by :meth:`EventQueue.pop` once the event has fired;
             consumed events can no longer be cancelled.
         tag: optional label used by traces and tests.
@@ -61,114 +61,91 @@ class Event(object):
         self.consumed = False
         self.tag = tag
 
-    def cancel(self):
-        """Mark the event as cancelled; it will be skipped when popped.
-
-        Prefer :meth:`EventQueue.cancel`, which also keeps the queue's
-        live-event count in sync; this raw marker does not.
-        """
-        self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
     def __repr__(self):
-        if self.cancelled:
-            state = "cancelled"
-        elif self.consumed:
-            state = "consumed"
-        else:
-            state = "pending"
-        return "Event(time=%r, seq=%d, tag=%r, %s)" % (
-            self.time,
-            self.sequence,
-            self.tag,
-            state,
-        )
+        state = "cancelled" if self.cancelled else "consumed" if self.consumed else "pending"
+        return "Event(time=%r, seq=%d, tag=%r, %s)" % (self.time, self.sequence, self.tag, state)
 
 
 class EventQueue(object):
-    """Min-heap of timed callbacks ordered by (time, insertion order)."""
+    """Min-heap of timed entries ordered by (time, insertion order)."""
 
-    __slots__ = ("_heap", "_counter", "_live")
+    __slots__ = ("_heap", "_counter", "_cancelled")
 
     def __init__(self):
         self._heap = []
         self._counter = itertools.count()
-        self._live = 0
+        # Cancelled entries still in the heap; they are dropped as they surface.
+        self._cancelled = 0
 
     def push(self, time, callback, tag=None):
-        """Schedule ``callback`` at absolute ``time`` and return an :class:`Event`.
+        """Schedule ``callback()`` at absolute ``time`` and return an :class:`Event`.
 
         The returned event is the cancellation handle; use
-        :meth:`push_callback` instead when the caller will never cancel.
+        :meth:`push_delivery` instead when the caller will never cancel.
         """
         if not time >= 0:  # also rejects NaN
             raise ValueError("event time must be non-negative, got %r" % time)
         sequence = next(self._counter)
         event = Event(time, sequence, callback, tag=tag)
-        heapq.heappush(self._heap, (time, sequence, callback, tag, event))
-        self._live += 1
+        heapq.heappush(self._heap, (time, sequence, _invoke, callback, tag, event))
         return event
 
-    def push_callback(self, time, callback, tag=None):
-        """Schedule a *non-cancellable* bare callback at absolute ``time``.
+    def push_delivery(self, time, receiver, message, tag=None):
+        """Schedule the *non-cancellable* call ``receiver(message)`` at ``time``.
 
-        No :class:`Event` handle is allocated or returned: the entry cannot be
-        cancelled, which is exactly right for the packet-delivery majority of
-        simulation events.  Ordering is identical to :meth:`push` (the same
-        sequence counter is shared), so mixing bare and cancellable entries
-        preserves full (time, sequence) determinism.
+        No :class:`Event` handle is allocated or returned.  Deliveries and
+        cancellable entries share one sequence counter, so mixing them keeps
+        full (time, sequence) determinism.
         """
         if not time >= 0:  # also rejects NaN
             raise ValueError("event time must be non-negative, got %r" % time)
-        heapq.heappush(self._heap, (time, next(self._counter), callback, tag, None))
-        self._live += 1
+        heapq.heappush(
+            self._heap, (time, next(self._counter), receiver, message, tag, None)
+        )
 
     def pop_entry(self):
-        """Remove and return the earliest live heap entry as a raw tuple.
+        """Remove and return the earliest live entry as a raw six-slot tuple.
 
-        The returned tuple is ``(time, sequence, callback, tag, event)`` where
-        ``event`` is ``None`` for bare entries.  Cancellable entries are marked
-        *consumed*: a later :meth:`cancel` on their handle is a no-op and does
-        not disturb the live-event count.  Returns ``None`` when the queue
-        holds no live events.
+        ``event`` (the last slot) is ``None`` for deliveries; a cancellable
+        entry's handle is marked *consumed*, so a later :meth:`cancel` on it
+        is a no-op.  Returns ``None`` when the queue holds no live entries.
         """
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
-            event = entry[4]
+            event = entry[5]
             if event is not None:
                 if event.cancelled:
+                    self._cancelled -= 1
                     continue
                 event.consumed = True
-            self._live -= 1
             return entry
         return None
 
     def pop(self):
-        """Remove and return the earliest live event as an :class:`Event`.
+        """Remove and return the earliest live entry as an :class:`Event`.
 
-        Compatibility wrapper around :meth:`pop_entry`: bare entries are
-        wrapped in a freshly synthesized, already-consumed :class:`Event` so
-        callers can keep reading ``.time`` / ``.tag`` / ``.callback``.
+        A delivery comes back as a synthesized, already-consumed
+        :class:`Event` whose zero-argument callback makes the delivery.
         """
         entry = self.pop_entry()
         if entry is None:
             return None
-        event = entry[4]
+        event = entry[5]
         if event is None:
-            event = Event(entry[0], entry[1], entry[2], tag=entry[3])
+            receiver, message = entry[2], entry[3]
+            event = Event(entry[0], entry[1], lambda: receiver(message), tag=entry[4])
             event.consumed = True
         return event
 
     def peek_time(self):
-        """Return the time of the earliest live event, or ``None`` if empty."""
+        """Return the time of the earliest live entry, or ``None`` if empty."""
         heap = self._heap
         while heap:
-            event = heap[0][4]
+            event = heap[0][5]
             if event is not None and event.cancelled:
                 heapq.heappop(heap)
+                self._cancelled -= 1
                 continue
             return heap[0][0]
         return None
@@ -177,34 +154,35 @@ class EventQueue(object):
         """Cancel a previously scheduled event.
 
         Cancelling an event that already fired (was popped) or was already
-        cancelled is a no-op, so the live-event count stays consistent no
-        matter how often or how late ``cancel`` is called.
+        cancelled is a no-op, so the live count stays exact no matter how
+        often or how late ``cancel`` is called.
         """
         if event.cancelled or event.consumed:
             return
         event.cancelled = True
-        self._live -= 1
+        self._cancelled += 1
 
     def clear(self):
-        """Drop every pending event.
+        """Drop every pending entry.
 
         Dropped cancellable events are marked cancelled so a stale handle
-        passed to :meth:`cancel` afterwards stays a no-op instead of
-        corrupting the live-event count.  Bare entries have no handle and are
-        simply discarded.
+        passed to :meth:`cancel` afterwards stays a no-op.  The heap list is
+        emptied in place: a loop holding it keeps seeing the live heap.
         """
         for entry in self._heap:
-            event = entry[4]
+            event = entry[5]
             if event is not None:
                 event.cancelled = True
-        self._heap = []
-        self._live = 0
+        self._heap.clear()
+        self._cancelled = 0
+
+    @property
+    def pending_deliveries(self):
+        """Deliveries waiting in the queue, counted on demand over the heap."""
+        return sum(1 for entry in self._heap if entry[5] is None)
 
     def __len__(self):
-        return self._live
-
-    def __bool__(self):
-        return self._live > 0
+        return len(self._heap) - self._cancelled
 
     def __repr__(self):
-        return "EventQueue(pending=%d)" % self._live
+        return "EventQueue(pending=%d)" % len(self)

@@ -7,8 +7,9 @@ tasks, and the baseline protocols' per-link controllers) subclass it and use
 :meth:`call_later` for timers.
 
 Messages are delivered by invoking ``receive(message, sender)`` on the target
-process at the delivery time; the handler executes atomically, mirroring the
-paper's ``when received ... do`` blocks.
+process at the delivery time (packet deliveries pass the message alone); the
+handler executes atomically, mirroring the paper's ``when received ... do``
+blocks.
 """
 
 
@@ -41,7 +42,7 @@ class Process(object):
 
     # --------------------------------------------------------------- handlers
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         """Handle a delivered message.  Subclasses must override."""
         raise NotImplementedError(
             "%s does not handle messages (received %r from %r)"

@@ -5,9 +5,10 @@ schedule work through :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time); each scheduled callback executes
 atomically at its firing time, matching the paper's model of ``when`` blocks
 that are "executed atomically, and activated asynchronously when an event is
-triggered".  :meth:`Simulator.schedule_callback` is the fast path for the
-non-cancellable majority (packet deliveries): it stores a bare callback in the
-heap with no :class:`~repro.simulator.event_queue.Event` handle allocation.
+triggered".  Packet deliveries, the vast majority, go through
+:meth:`Simulator.schedule_delivery`: the event is the call
+``receiver(message)``, with no closure and no handle, and the unconstrained
+loop (:meth:`Simulator._drain_fast`) pops the heap inline.
 
 Because B-Neck is *quiescent*, a steady-state simulation terminates on its own:
 once the max-min fair rates are computed, no task schedules further events and
@@ -100,6 +101,11 @@ class Simulator(object):
         return len(self._queue)
 
     @property
+    def pending_deliveries(self):
+        """Deliveries (:meth:`schedule_delivery`) still waiting in the queue."""
+        return self._queue.pending_deliveries
+
+    @property
     def pending_instant_callbacks(self):
         """Number of end-of-instant callbacks not yet flushed.
 
@@ -129,17 +135,15 @@ class Simulator(object):
             )
         return self._queue.push(time, callback, tag=tag)
 
-    def schedule_callback(self, delay, callback, tag=None):
-        """Schedule a *non-cancellable* callback ``delay`` seconds from now.
+    def schedule_delivery(self, delay, receiver, message, tag=None):
+        """Call ``receiver(message)`` ``delay`` seconds from now; not cancellable.
 
-        The fast path for the packet-delivery majority: the queue stores the
-        bare callback with no :class:`~repro.simulator.event_queue.Event`
-        handle, so nothing is returned and the entry cannot be cancelled.
-        Ordering is identical to :meth:`schedule`.
+        The fast path for packet deliveries: no handle is allocated or
+        returned.  Ordering is identical to :meth:`schedule`.
         """
         if not delay >= 0:  # also rejects NaN
             raise ValueError("delay must be non-negative, got %r" % delay)
-        self._queue.push_callback(self._now + delay, callback, tag=tag)
+        self._queue.push_delivery(self._now + delay, receiver, message, tag)
 
     def call_at_instant_end(self, callback):
         """Defer ``callback`` to the end of the current instant.
@@ -186,8 +190,9 @@ class Simulator(object):
 
     def _flush_instant(self):
         """Run one batch of end-of-instant callbacks (registration order)."""
-        callbacks = self._instant_callbacks
-        self._instant_callbacks = []
+        # Emptied in place: the fast loop holds this list.
+        callbacks = list(self._instant_callbacks)
+        self._instant_callbacks.clear()
         for callback in callbacks:
             callback()
 
@@ -212,8 +217,8 @@ class Simulator(object):
         self._now = entry[0]
         self._events_processed += 1
         if self.tracer is not None:
-            self.tracer.on_event(self._now, entry[3])
-        entry[2]()
+            self.tracer.on_event(self._now, entry[4])
+        entry[2](entry[3])
         return True
 
     def _unconstrained(self):
@@ -300,19 +305,30 @@ class Simulator(object):
                 because it never observed the stop flag, and a stale flag
                 from an earlier stopped ``run`` must not end it early.
         """
-        pop = self._queue.pop_entry
+        # EventQueue.pop_entry, inlined.  These lists are only ever emptied
+        # in place, so the local names stay valid.
+        queue = self._queue
+        heap = queue._heap
+        instant_callbacks = self._instant_callbacks
+        timers = self._timers
+        heappop = heapq.heappop
         while not (check_stop and self._stop_requested):
-            if self._instant_callbacks and self._instant_finished():
+            if instant_callbacks and self._instant_finished():
                 self._flush_instant()
                 continue
-            entry = pop()
-            if entry is None:
+            if not heap:
                 break
-            if self._timers and self._timers[0][0] <= entry[0]:
-                self._fire_timers(entry[0])
-            self._now = entry[0]
+            time, _sequence, function, argument, _tag, event = heappop(heap)
+            if event is not None:
+                if event.cancelled:
+                    queue._cancelled -= 1
+                    continue
+                event.consumed = True
+            if timers and timers[0][0] <= time:
+                self._fire_timers(time)
+            self._now = time
             self._events_processed += 1
-            entry[2]()
+            function(argument)
 
     def run_until_quiescent(self):
         """Run until the event queue drains and return the quiescence time.

@@ -150,9 +150,6 @@ class ForwardingRecorder(object):
     def send_upstream_from(self, link_id, packet):
         self.forward_upstream(link_id, packet)
 
-    def forward_upstream_from_destination(self, session_id, packet):
-        self.upstream.append((("destination", session_id), packet))
-
     def notify_rate(self, session_id, rate):
         self.notifications.append((session_id, rate))
         self._last_rates[session_id] = rate

@@ -7,6 +7,10 @@ import pytest
 from repro.simulator.event_queue import EventQueue
 
 
+def _ignore(message):
+    """A delivery receiver that drops its message."""
+
+
 def test_push_and_pop_in_time_order():
     queue = EventQueue()
     fired = []
@@ -82,11 +86,11 @@ def test_negative_time_rejected():
         queue.push(-1.0, lambda: None)
 
 
-@pytest.mark.parametrize("method", ["push", "push_callback"])
+@pytest.mark.parametrize("method", ["push", "push_delivery"])
 def test_nan_time_rejected(method):
     queue = EventQueue()
     with pytest.raises(ValueError):
-        getattr(queue, method)(math.nan, lambda: None)
+        getattr(queue, method)(math.nan, lambda *message: None, "message")
     assert len(queue) == 0 and queue.peek_time() is None
 
 
@@ -164,30 +168,33 @@ def test_cancel_before_pop_still_skips_event():
     assert queue.pop() is None
 
 
-def test_push_callback_interleaves_with_events_by_insertion_order():
+def test_push_delivery_interleaves_with_events_by_insertion_order():
     queue = EventQueue()
     queue.push(1.0, lambda: None, tag="event")
-    queue.push_callback(1.0, lambda: None, tag="bare")
+    queue.push_delivery(1.0, _ignore, "message", tag="delivery")
     queue.push(1.0, lambda: None, tag="event-2")
-    assert [queue.pop().tag for _ in range(3)] == ["event", "bare", "event-2"]
+    assert [queue.pop().tag for _ in range(3)] == ["event", "delivery", "event-2"]
 
 
-def test_push_callback_counts_as_live():
+def test_push_delivery_counts_as_live_and_pending_delivery():
     queue = EventQueue()
-    queue.push_callback(1.0, lambda: None)
-    assert len(queue) == 1
+    queue.push_delivery(1.0, _ignore, "message")
+    queue.push(2.0, lambda: None)
+    assert len(queue) == 2
     assert queue
+    assert queue.pending_deliveries == 1
     queue.pop()
-    assert len(queue) == 0
+    assert len(queue) == 1
+    assert queue.pending_deliveries == 0
 
 
-def test_push_callback_pop_synthesizes_consumed_event():
+def test_push_delivery_pop_synthesizes_consumed_event():
     fired = []
     queue = EventQueue()
-    queue.push_callback(0.5, lambda: fired.append("ran"), tag="bare")
+    queue.push_delivery(0.5, fired.append, "ran", tag="delivery")
     event = queue.pop()
     assert event.time == 0.5
-    assert event.tag == "bare"
+    assert event.tag == "delivery"
     assert event.consumed
     event.callback()
     assert fired == ["ran"]
@@ -196,52 +203,75 @@ def test_push_callback_pop_synthesizes_consumed_event():
     assert len(queue) == 0
 
 
-def test_push_callback_negative_time_rejected():
+def test_push_delivery_negative_time_rejected():
     queue = EventQueue()
     with pytest.raises(ValueError):
-        queue.push_callback(-0.5, lambda: None)
+        queue.push_delivery(-0.5, _ignore, "message")
+    assert len(queue) == 0
 
 
 def test_pop_entry_returns_raw_tuples_for_both_flavours():
+    fired = []
     queue = EventQueue()
-    handle = queue.push(1.0, lambda: None, tag="cancellable")
-    queue.push_callback(2.0, lambda: None, tag="bare")
+    handle = queue.push(1.0, lambda: fired.append("callback"), tag="cancellable")
+    queue.push_delivery(2.0, fired.append, "message", tag="delivery")
     first = queue.pop_entry()
-    assert first[0] == 1.0 and first[3] == "cancellable" and first[4] is handle
+    assert len(first) == 6
+    assert first[0] == 1.0 and first[4] == "cancellable" and first[5] is handle
     assert handle.consumed
     second = queue.pop_entry()
-    assert second[0] == 2.0 and second[3] == "bare" and second[4] is None
+    assert second[0] == 2.0 and second[4] == "delivery" and second[5] is None
+    assert second[2] == fired.append and second[3] == "message"
     assert queue.pop_entry() is None
+    # Both flavours fire as function(argument).
+    first[2](first[3])
+    second[2](second[3])
+    assert fired == ["callback", "message"]
 
 
-def test_cancel_after_pop_with_bare_entries_in_the_heap():
-    # The live count must stay exact when cancellable and bare entries mix
+def test_clear_resets_the_pending_delivery_count():
+    queue = EventQueue()
+    queue.push_delivery(1.0, _ignore, "message")
+    queue.push_delivery(2.0, _ignore, "message")
+    cancelled = queue.push(3.0, lambda: None)
+    queue.cancel(cancelled)
+    assert queue.pending_deliveries == 2
+    queue.clear()
+    assert queue.pending_deliveries == 0
+    assert len(queue) == 0
+    queue.push_delivery(1.0, _ignore, "message")
+    assert queue.pending_deliveries == 1
+    assert len(queue) == 1
+
+
+def test_cancel_after_pop_with_deliveries_in_the_heap():
+    # The live count must stay exact when cancellable entries and deliveries mix
     # and a handle is cancelled after its event already fired.
     queue = EventQueue()
     fired = queue.push(1.0, lambda: None, tag="fired")
-    queue.push_callback(2.0, lambda: None, tag="bare")
+    queue.push_delivery(2.0, _ignore, "message", tag="delivery")
     queue.push(3.0, lambda: None, tag="live")
     assert queue.pop().tag == "fired"
     assert len(queue) == 2
     queue.cancel(fired)      # already consumed: must be a no-op
     queue.cancel(fired)
     assert len(queue) == 2
-    assert queue.pop().tag == "bare"
+    assert queue.pop().tag == "delivery"
     assert queue.pop().tag == "live"
     assert len(queue) == 0
 
 
-def test_peek_time_skips_cancelled_ahead_of_bare_entries():
+def test_peek_time_skips_cancelled_ahead_of_deliveries():
     queue = EventQueue()
     early = queue.push(1.0, lambda: None)
-    queue.push_callback(2.0, lambda: None)
+    queue.push_delivery(2.0, _ignore, "message")
     queue.cancel(early)
     assert queue.peek_time() == 2.0
 
 
-def test_clear_discards_bare_entries():
+def test_clear_discards_deliveries():
     queue = EventQueue()
-    queue.push_callback(1.0, lambda: None)
+    queue.push_delivery(1.0, _ignore, "message")
     stale = queue.push(2.0, lambda: None)
     queue.clear()
     assert len(queue) == 0

@@ -8,6 +8,10 @@ from repro.simulator.errors import SimulationLimitExceeded
 from repro.simulator.simulation import Simulator
 
 
+def _ignore(message):
+    """A delivery receiver that drops its message."""
+
+
 def test_clock_starts_at_zero(simulator):
     assert simulator.now == 0.0
     assert simulator.events_processed == 0
@@ -67,13 +71,15 @@ def test_schedule_at_in_the_past_rejected(simulator):
 
 
 @pytest.mark.parametrize(
-    "method", ["schedule", "schedule_at", "schedule_callback", "schedule_bookkeeping"]
+    "method", ["schedule", "schedule_at", "schedule_delivery", "schedule_bookkeeping"]
 )
 def test_nan_time_rejected(simulator, method):
     # ``nan < 0`` is false, so a sign test alone would let a NaN heap key in.
+    arguments = (_ignore, "message") if method == "schedule_delivery" else (lambda: None,)
     with pytest.raises(ValueError):
-        getattr(simulator, method)(math.nan, lambda: None)
+        getattr(simulator, method)(math.nan, *arguments)
     assert simulator.pending_events == 0
+    assert simulator.pending_deliveries == 0
     assert simulator.pending_bookkeeping == 0
 
 
@@ -176,28 +182,44 @@ def test_events_processed_counts(simulator):
     assert simulator.events_processed == 4
 
 
-# -------------------------------------------------- non-cancellable callbacks
+# ------------------------------------------------------------------ deliveries
 
 
-def test_schedule_callback_fires_in_order_with_events(simulator):
+def test_schedule_delivery_fires_in_order_with_events(simulator):
     fired = []
     simulator.schedule(0.2, lambda: fired.append("event"))
-    simulator.schedule_callback(0.1, lambda: fired.append("bare-early"))
-    simulator.schedule_callback(0.2, lambda: fired.append("bare-tied"))
+    simulator.schedule_delivery(0.1, fired.append, "delivery-early")
+    simulator.schedule_delivery(0.2, fired.append, "delivery-tied")
     simulator.run_until_quiescent()
     # The tie at t=0.2 breaks by insertion order: the Event came first.
-    assert fired == ["bare-early", "event", "bare-tied"]
+    assert fired == ["delivery-early", "event", "delivery-tied"]
     assert simulator.events_processed == 3
 
 
-def test_schedule_callback_negative_delay_rejected(simulator):
+def test_schedule_delivery_in_the_general_loop(simulator):
+    fired = []
+    simulator.schedule(0.2, lambda: fired.append("event"))
+    simulator.schedule_delivery(0.1, fired.append, "delivery-early")
+    simulator.schedule_delivery(0.2, fired.append, "delivery-tied")
+    simulator.run(until=1.0)
+    assert fired == ["delivery-early", "event", "delivery-tied"]
+
+
+@pytest.mark.parametrize("delay", [-0.1, math.nan])
+def test_schedule_delivery_bad_delay_rejected(simulator, delay):
     with pytest.raises(ValueError):
-        simulator.schedule_callback(-0.1, lambda: None)
+        simulator.schedule_delivery(delay, _ignore, "message")
+    assert simulator.pending_events == 0
 
 
-def test_schedule_callback_counts_as_pending(simulator):
-    simulator.schedule_callback(0.5, lambda: None)
+def test_schedule_delivery_counts_as_pending_delivery(simulator):
+    simulator.schedule_delivery(0.5, _ignore, "message")
+    simulator.schedule(0.7, lambda: None)
+    assert simulator.pending_events == 2
+    assert simulator.pending_deliveries == 1
+    assert simulator.step()
     assert simulator.pending_events == 1
+    assert simulator.pending_deliveries == 0
     simulator.run_until_quiescent()
     assert simulator.pending_events == 0
 
