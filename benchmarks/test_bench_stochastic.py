@@ -81,7 +81,7 @@ def test_paper_medium_sustained_churn(print_table):
         seed=3,
         workload=workload,
         trace_packets=False,
-        notification_log="ring",
+        notification_log="null",
     )
     measurements = result["measurements"]
     assert len(measurements) == 6

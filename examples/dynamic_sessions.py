@@ -12,8 +12,8 @@ topology, driven through the shared experiment entry point
 * ``API.Leave`` -- a session departs and the remaining ones are upgraded;
 * ``API.Rate`` -- every renegotiated rate is delivered to the application
   (a subclass of :class:`SessionApplication` that prints each notification).
-  Deliveries are batched per simulation instant -- the protocol default --
-  so an application sees one callback per renegotiated instant.
+  Each ``API.Rate`` reaches the application synchronously, as a plain upcall
+  -- the protocol default.
 
 After every change the protocol becomes quiescent again: each
 :meth:`~repro.experiments.runner.ExperimentRunner.checkpoint` validates the

@@ -98,7 +98,6 @@ class BaselineProtocol(object):
         algebra=None,
         tracer=None,
         probe_interval=1e-3,
-        routing_metric="hops",
         trace_packets=True,
     ):
         self.network = network
@@ -111,7 +110,7 @@ class BaselineProtocol(object):
         self.tracer = tracer
         self.probe_interval = probe_interval
         self.registry = SessionRegistry()
-        self.path_computer = PathComputer(network, metric=routing_metric)
+        self.path_computer = PathComputer(network)
         self._controllers = {}
         self._sessions = {}
         self._rates = {}

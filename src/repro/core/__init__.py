@@ -16,8 +16,8 @@ The package mirrors the paper's Section III structure:
   (``API.Join`` / ``API.Leave`` / ``API.Change`` / ``API.Rate``).
 * :mod:`~repro.core.actions` -- joins, leaves, rate and capacity changes as
   data records that workloads emit and protocols replay.
-* :mod:`~repro.core.notifications` -- pluggable ``API.Rate`` record storage
-  (full / ring-buffer / null) behind ``BNeckProtocol.notifications``.
+* :mod:`~repro.core.notifications` -- ``API.Rate`` record storage (full /
+  null) behind ``BNeckProtocol.notifications``.
 * :mod:`~repro.core.protocol` -- :class:`BNeckProtocol`, which instantiates the
   tasks over a network + simulator, routes packets along session paths with
   link delays, and exposes quiescence-and-rates helpers.
@@ -31,7 +31,6 @@ from repro.core.centralized import centralized_bneck
 from repro.core.notifications import (
     NotificationLog,
     NullNotificationLog,
-    RingNotificationLog,
     make_notification_log,
 )
 from repro.core.actions import (
@@ -76,7 +75,6 @@ __all__ = [
     "NullNotificationLog",
     "PACKET_TYPES",
     "Probe",
-    "RingNotificationLog",
     "RESPONSE",
     "RateNotification",
     "Response",

@@ -1,41 +1,33 @@
-"""Pluggable storage for ``API.Rate`` notification records.
+"""Storage for ``API.Rate`` notification records.
 
 Every ``API.Rate`` invocation is recorded by
-:meth:`~repro.core.protocol.BNeckProtocol.notify_rate`.  The historical
-behaviour -- an unbounded list of
-:class:`~repro.core.api.RateNotification` objects -- is exactly what the
+:meth:`~repro.core.protocol.BNeckProtocol.notify_rate`.  The default -- a list
+of :class:`~repro.core.api.RateNotification` objects -- is exactly what the
 small correctness tests want, but a long dynamic run (Experiment 2-style
 churn, or the paper-scale topologies) accumulates millions of records the
-experiments never read.  The protocol therefore accepts any *notification
-log*, and three variants are provided:
+experiments never read.  Two logs are therefore provided:
 
-* :class:`NotificationLog` -- the compatible default: keeps every record,
-  supports ``len`` / indexing / iteration like the plain list it replaces.
-* :class:`RingNotificationLog` -- bounded memory: keeps only the most recent
-  ``capacity`` records and counts how many older ones were evicted.
-* :class:`NullNotificationLog` -- keeps nothing; the cheapest option for
-  benchmarks that only read final allocations.
+* :class:`NotificationLog` -- the default: keeps every record, supports
+  ``len`` / indexing / iteration like the plain list it replaces.
+* :class:`NullNotificationLog` -- keeps nothing but a count; the cheapest
+  option for benchmarks that only read final allocations.
 
-All variants are interchangeable: ``record`` is the single write entry point,
-and the sequence protocol (over whatever records are retained) is the read
-side.  The protocol's ``last_notified_rate`` bookkeeping is independent of the
-log, so dropping records never changes protocol behaviour -- simulation
-traces are bit-identical across variants.
+Both are interchangeable: ``record`` is the single write entry point,
+``recorded`` counts every invocation, and the sequence protocol (over whatever
+records are retained) is the read side.  The protocol's
+``last_notified_rate`` bookkeeping is independent of the log, so dropping
+records never changes protocol behaviour -- simulation traces are
+bit-identical across logs.
 """
-
-import collections
 
 from repro.core.api import RateNotification
 
 FULL = "full"
-RING = "ring"
 NULL = "null"
 
 
 class NotificationLog(object):
     """Full-record log: every ``API.Rate`` invocation is kept (the default)."""
-
-    kind = FULL
 
     def __init__(self):
         self._records = []
@@ -48,23 +40,8 @@ class NotificationLog(object):
 
     @property
     def recorded(self):
-        """Total number of ``API.Rate`` invocations seen (retained or not)."""
+        """Total number of ``API.Rate`` invocations seen."""
         return len(self._records)
-
-    @property
-    def dropped(self):
-        """Number of records evicted to bound memory (0 for the full log)."""
-        return 0
-
-    def last_for(self, session_id):
-        """The most recent retained record of ``session_id`` (or ``None``)."""
-        for notification in reversed(self._records):
-            if notification.session_id == session_id:
-                return notification
-        return None
-
-    def clear(self):
-        self._records = []
 
     def __len__(self):
         return len(self._records)
@@ -76,42 +53,7 @@ class NotificationLog(object):
         return iter(self._records)
 
     def __repr__(self):
-        return "%s(retained=%d, recorded=%d)" % (
-            type(self).__name__,
-            len(self),
-            self.recorded,
-        )
-
-
-class RingNotificationLog(NotificationLog):
-    """Bounded log: retains the most recent ``capacity`` records only."""
-
-    kind = RING
-
-    def __init__(self, capacity=4096):
-        if capacity <= 0:
-            raise ValueError("ring capacity must be positive, got %r" % capacity)
-        self.capacity = capacity
-        self._records = collections.deque(maxlen=capacity)
-        self._recorded = 0
-
-    def record(self, time, session_id, rate):
-        notification = RateNotification(time, session_id, rate)
-        self._records.append(notification)
-        self._recorded += 1
-        return notification
-
-    @property
-    def recorded(self):
-        return self._recorded
-
-    @property
-    def dropped(self):
-        return self._recorded - len(self._records)
-
-    def clear(self):
-        self._records.clear()
-        self._recorded = 0
+        return "NotificationLog(recorded=%d)" % len(self._records)
 
 
 class NullNotificationLog(object):
@@ -121,8 +63,6 @@ class NullNotificationLog(object):
     allocated -- so churn-heavy benchmark runs pay nothing per notification.
     The read side reports an empty sequence.
     """
-
-    kind = NULL
 
     __slots__ = ("_recorded",)
 
@@ -136,16 +76,6 @@ class NullNotificationLog(object):
     @property
     def recorded(self):
         return self._recorded
-
-    @property
-    def dropped(self):
-        return self._recorded
-
-    def last_for(self, session_id):
-        return None
-
-    def clear(self):
-        self._recorded = 0
 
     def __len__(self):
         return 0
@@ -161,26 +91,9 @@ class NullNotificationLog(object):
 
 
 def make_notification_log(spec):
-    """Build a notification log from a spec.
-
-    Accepts ``None`` / ``"full"`` (the compatible default), ``"ring"`` /
-    ``"ring:<capacity>"``, ``"null"``, a zero-argument factory, or an already
-    constructed log object (anything with a ``record`` method).
-    """
+    """Build a notification log from ``None`` / ``"full"`` (the default) or ``"null"``."""
     if spec is None or spec == FULL:
         return NotificationLog()
-    if isinstance(spec, str):
-        if spec == NULL:
-            return NullNotificationLog()
-        if spec == RING:
-            return RingNotificationLog()
-        if spec.startswith(RING + ":"):
-            return RingNotificationLog(capacity=int(spec.split(":", 1)[1]))
-        raise ValueError(
-            "unknown notification log %r (expected 'full', 'ring[:N]' or 'null')" % spec
-        )
-    if hasattr(spec, "record") and not isinstance(spec, type):
-        return spec
-    if callable(spec):
-        return make_notification_log(spec())
-    raise TypeError("cannot build a notification log from %r" % (spec,))
+    if spec == NULL:
+        return NullNotificationLog()
+    raise ValueError("unknown notification log %r (expected 'full' or 'null')" % (spec,))

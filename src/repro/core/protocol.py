@@ -14,40 +14,29 @@ network and a discrete-event simulator:
   ``API.Rate`` notification, and provides quiescence and allocation helpers
   used by the experiments and tests.
 
-Notification batching
+Notification delivery
 ---------------------
 
-``API.Rate`` deliveries to :class:`~repro.core.api.SessionApplication`
-objects are *batched per simulation instant* by default: however many times a
-session's rate is renegotiated within one timestamp, the application receives
-a single ``deliver_rate`` callback carrying the final value, executed at the
-end of the instant through
-:meth:`~repro.simulator.simulation.Simulator.call_at_instant_end`.  Batching
-never alters the simulation itself (notifications schedule no events), so
-packet counts, event counts and final allocations are bit-identical with
-batching on or off; only the application-facing callback stream is coalesced.
-Pass ``batch_notifications=False`` for the historical synchronous per-packet
-delivery.
+``API.Rate`` is a plain upcall: by default each ``notify_rate`` call reaches
+the session's :class:`~repro.core.api.SessionApplication` synchronously, as
+its ``deliver_rate`` callback.  For churn-heavy experiments,
+``notification_batch_window=w`` coalesces the callbacks into logical windows
+of ``w`` seconds: pending rates are delivered at the next multiple of ``w``,
+one application update per session per window, carrying the session's final
+rate.  Windowed flushes run as out-of-band *bookkeeping timers*
+(:meth:`~repro.simulator.simulation.Simulator.schedule_bookkeeping`), so they
+never appear in ``events_processed``, never stretch a reported quiescence
+time, and never count against ``Simulator.max_events`` / ``max_time`` caps;
+applications observe the window-boundary timestamp.  Notifications schedule
+no events, so packet counts, event counts and final allocations are
+bit-identical with or without a window; only the application-facing callback
+stream is coalesced.
 
-With nonzero link delays a session's consecutive renegotiations land on
-*distinct* instants (each re-probe costs at least a round trip), so
-per-instant coalescing alone rarely drops callbacks.  For churn-heavy
-experiments, ``notification_batch_window=w`` widens the batch to logical
-windows of ``w`` seconds: pending rates are delivered at the next multiple of
-``w``, coalescing the whole convergence transient of a churn burst into one
-application update per session per window.  Windowed flushes run as
-out-of-band *bookkeeping timers*
-(:meth:`~repro.simulator.simulation.Simulator.schedule_bookkeeping`), so --
-exactly like per-instant batching -- they never appear in
-``events_processed``, never stretch a reported quiescence time, and never
-count against ``Simulator.max_events`` / ``max_time`` caps; applications
-still observe the window-boundary timestamp.
-
-The record of ``API.Rate`` invocations is kept in a pluggable *notification
-log* (see :mod:`repro.core.notifications`): the default retains everything
+The record of ``API.Rate`` invocations is kept in a *notification log* (see
+:mod:`repro.core.notifications`): the default retains everything
 (list-compatible via the ``notifications`` attribute); churn-heavy runs can
-pass ``notification_log="ring"`` (bounded memory) or ``"null"`` (keep
-nothing) without affecting protocol behaviour.
+pass ``notification_log="null"`` (keep nothing but a count) without affecting
+protocol behaviour.
 """
 
 import math
@@ -98,27 +87,21 @@ class BNeckProtocol(object):
         simulator: optional simulator (one is created if omitted).
         algebra: optional rate algebra; defaults to tolerance-based floats.
         tracer: optional :class:`~repro.simulator.tracing.PacketTracer`.
-        routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         trace_packets: when false (and no explicit ``tracer`` is given) a
             :class:`~repro.simulator.tracing.NullPacketTracer` is installed
             and the forwarding methods skip the per-packet accounting
             entirely -- use for runs that only report times, not counts.
             Assigning ``tracer`` later switches the accounting to match.
         notification_log: where ``API.Rate`` records are kept -- ``"full"``
-            (default, unbounded), ``"ring"`` / ``"ring:N"``, ``"null"``, or a
-            log object (see :func:`repro.core.notifications.make_notification_log`).
-        batch_notifications: when true (default) application ``API.Rate``
-            callbacks are coalesced per simulation instant (see the module
-            docstring); when false each ``notify_rate`` call reaches the
-            application synchronously.
-        notification_batch_window: optional window width (seconds) for
-            coalescing across instants; ``None`` (default) batches per
-            instant.  Ignored when ``batch_notifications`` is false.
+            (default, unbounded) or ``"null"`` (see
+            :func:`repro.core.notifications.make_notification_log`).
+        notification_batch_window: optional window width (seconds) over which
+            application ``API.Rate`` callbacks are coalesced (see the module
+            docstring); ``None`` (default) delivers each one synchronously.
     """
 
     def __init__(self, network, simulator=None, algebra=None, tracer=None,
-                 routing_metric="hops", trace_packets=True,
-                 notification_log=None, batch_notifications=True,
+                 trace_packets=True, notification_log=None,
                  notification_batch_window=None):
         self.network = network
         self.simulator = simulator or Simulator()
@@ -127,7 +110,7 @@ class BNeckProtocol(object):
             tracer = PacketTracer() if trace_packets else NullPacketTracer()
         self.tracer = tracer
         self.registry = SessionRegistry()
-        self.path_computer = PathComputer(network, metric=routing_metric)
+        self.path_computer = PathComputer(network)
         self._router_links = {}
         self._sources = {}
         self._destinations = {}
@@ -136,10 +119,11 @@ class BNeckProtocol(object):
         self._sessions = {}
         self._last_rate = {}
         self.notification_log = make_notification_log(notification_log)
-        self.batch_notifications = bool(batch_notifications)
-        if notification_batch_window is not None and notification_batch_window <= 0:
+        if notification_batch_window is not None and not (
+            0 < notification_batch_window < math.inf  # also rejects NaN
+        ):
             raise ValueError(
-                "notification_batch_window must be positive, got %r"
+                "notification_batch_window must be positive and finite, got %r"
                 % (notification_batch_window,)
             )
         self.notification_batch_window = notification_batch_window
@@ -379,72 +363,51 @@ class BNeckProtocol(object):
     def notify_rate(self, session_id, rate):
         """Record an ``API.Rate`` invocation and deliver it to the application.
 
-        With ``batch_notifications`` (the default) the application callback is
-        deferred to the end of the current simulation instant and coalesced:
-        only the last rate a session was notified within the instant reaches
-        ``deliver_rate``.  Records, ``last_notified_rate`` and the returned
-        notification object always reflect every invocation.
+        Without a ``notification_batch_window`` the application callback runs
+        synchronously.  With one, it is deferred to the next window boundary
+        and coalesced: only the last rate a session was notified within the
+        window reaches ``deliver_rate``.  Records, ``last_notified_rate`` and
+        the returned notification object always reflect every invocation.
         """
         time = self.simulator.now
         notification = self.notification_log.record(time, session_id, rate)
         self._last_rate[session_id] = rate
-        if self.batch_notifications:
-            pending = self._pending_rates
-            if not pending:
-                window = self.notification_batch_window
-                if window is None:
-                    self.simulator.call_at_instant_end(self._flush_pending_rates)
-                else:
-                    # Flush at the next window boundary strictly after `now`,
-                    # through an out-of-band bookkeeping timer: the flush is
-                    # pure observation, so it must not occupy an event-queue
-                    # slot (it would show in ``events_processed`` and could
-                    # stretch a reported quiescence time by up to one window).
-                    boundary = (math.floor(time / window) + 1.0) * window
-                    self.simulator.schedule_bookkeeping(
-                        boundary - time, self._flush_pending_rates_window
-                    )
-            pending[session_id] = rate
-        else:
+        window = self.notification_batch_window
+        if window is None:
             application = self._applications.get(session_id)
             if application is not None:
                 self.rate_callbacks += 1
                 application.deliver_rate(time, rate)
+            return notification
+        pending = self._pending_rates
+        if not pending:
+            # Flush at the next window boundary strictly after `now`, through a
+            # bookkeeping timer, not an event (see the module docstring).
+            boundary = (math.floor(time / window) + 1.0) * window
+            self.simulator.schedule_bookkeeping(boundary - time, self._flush_pending_rates)
+        pending[session_id] = rate
         return notification
 
-    def _flush_pending_rates(self):
-        """End-of-instant hook: deliver one coalesced ``API.Rate`` per session.
-
-        Dict insertion order makes delivery order deterministic: sessions are
-        notified in the order of their *first* rate update within the instant,
-        each carrying its *final* rate.
-        """
-        self._deliver_pending_batch(self.simulator.now)
-
-    def _flush_pending_rates_window(self, due):
-        """Windowed-flush bookkeeping timer: deliver at the window boundary.
+    def _flush_pending_rates(self, due):
+        """Windowed-flush bookkeeping timer: one coalesced ``API.Rate`` per session.
 
         Fires between events (see
         :meth:`repro.simulator.simulation.Simulator.schedule_bookkeeping`);
         applications see the boundary timestamp ``due`` regardless of where
-        between two events the timer actually ran.
+        between two events the timer actually ran.  Dict insertion order makes
+        delivery order deterministic: sessions are notified in the order of
+        their *first* rate update within the window, each carrying its
+        *final* rate.
         """
-        self._deliver_pending_batch(due)
-
-    def _deliver_pending_batch(self, time):
-        """Deliver the coalesced rates, stamped ``time``."""
-        pending = self._pending_rates
-        if not pending:
-            return
-        batch = list(pending.items())
-        pending.clear()
+        batch = list(self._pending_rates.items())
+        self._pending_rates.clear()
         applications = self._applications
         delivered = 0
         for session_id, rate in batch:
             application = applications.get(session_id)
             if application is not None:
                 delivered += 1
-                application.deliver_rate(time, rate)
+                application.deliver_rate(due, rate)
         self.rate_callbacks += delivered
 
     def last_notified_rate(self, session_id):

@@ -51,7 +51,6 @@ class Experiment2Config(object):
         seed=0,
         validate=True,
         notification_log=None,
-        batch_notifications=True,
         notification_batch_window=None,
     ):
         self.size = size
@@ -66,7 +65,6 @@ class Experiment2Config(object):
         self.seed = seed
         self.validate = validate
         self.notification_log = notification_log
-        self.batch_notifications = batch_notifications
         self.notification_batch_window = notification_batch_window
 
     def phases(self):
@@ -83,7 +81,6 @@ class Experiment2Config(object):
             seed=self.seed,
             tracer_interval=self.interval,
             notification_log=self.notification_log,
-            batch_notifications=self.batch_notifications,
             notification_batch_window=self.notification_batch_window,
             validate=self.validate,
         )

@@ -11,7 +11,7 @@ counts.  :class:`ScenarioSpec` captures the *what* declaratively;
 Typical use::
 
     spec = ScenarioSpec(size="medium", delay_model=LAN, seed=3,
-                        notification_log="ring")
+                        notification_log="null")
     runner = ExperimentRunner(spec, generator_seed=3)
     runner.populate(400, join_window=(0.0, 1e-3))
     measurement = runner.checkpoint("mass join")
@@ -54,12 +54,11 @@ class ScenarioSpec(object):
             (``None`` keeps a plain total-counting tracer).
         trace_packets: disable to install a
             :class:`~repro.simulator.tracing.NullPacketTracer` (fastest).
-        notification_log: ``"full"`` / ``"ring[:N]"`` / ``"null"`` or a log
-            object, forwarded to the protocol.
-        batch_notifications: per-instant ``API.Rate`` coalescing (default on).
-        notification_batch_window: optional coalescing window in seconds
+        notification_log: ``"full"`` (default) or ``"null"``, forwarded to
+            the protocol.
+        notification_batch_window: optional ``API.Rate`` coalescing window in
+            seconds; ``None`` (default) delivers every callback synchronously
             (see :class:`~repro.core.protocol.BNeckProtocol`).
-        routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         validate: whether :meth:`ExperimentRunner.checkpoint` validates
             against the centralized oracle.
         workload: optional stochastic-workload reference (a registered name
@@ -80,9 +79,7 @@ class ScenarioSpec(object):
         tracer_interval=None,
         trace_packets=True,
         notification_log=None,
-        batch_notifications=True,
         notification_batch_window=None,
-        routing_metric="hops",
         validate=True,
         workload=None,
     ):
@@ -98,9 +95,7 @@ class ScenarioSpec(object):
         self.tracer_interval = tracer_interval
         self.trace_packets = trace_packets
         self.notification_log = notification_log
-        self.batch_notifications = batch_notifications
         self.notification_batch_window = notification_batch_window
-        self.routing_metric = routing_metric
         self.validate = validate
         self.workload = workload
 
@@ -150,18 +145,16 @@ class ScenarioSpec(object):
         return BNeckProtocol(
             network,
             tracer=tracer,
-            routing_metric=self.routing_metric,
             notification_log=self.notification_log,
-            batch_notifications=self.batch_notifications,
             notification_batch_window=self.notification_batch_window,
         )
 
     def __repr__(self):
-        return "ScenarioSpec(%r, seed=%d, log=%r, batch=%r)" % (
+        return "ScenarioSpec(%r, seed=%d, log=%r, window=%r)" % (
             self.label,
             self.seed,
             self.notification_log,
-            self.batch_notifications,
+            self.notification_batch_window,
         )
 
 

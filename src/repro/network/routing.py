@@ -1,16 +1,9 @@
 """Single-path routing.
 
 Sessions in the paper follow "a shortest path from its source to its
-destination node".  Two metrics are supported:
-
-* ``"hops"`` -- shortest path by hop count (the default, and the one used in
-  the evaluation);
-* ``"delay"`` -- Dijkstra over link propagation delays, useful for WAN-flavored
-  examples.
-
-Hop routing returns exactly the path of *plain BFS*: a breadth-first search
-from the source that scans neighbours in adjacency order and lets the first
-discovery of a node set its predecessor.  Which of several equal-length paths
+destination node", by hop count.  Routing returns exactly the path of *plain
+BFS*: a breadth-first search from the source that scans neighbours in
+adjacency order and lets the first discovery of a node set its predecessor.  Which of several equal-length paths
 that is matters, because every session's path (and so every packet count and
 allocation downstream) depends on it.  Plain BFS explores almost the whole
 ball of radius ``D`` around the source; :func:`_bfs_path` gets the same path
@@ -48,25 +41,17 @@ predecessor chain, which is the returned path.
 workload creates tens of thousands of sessions over the same backbone.
 """
 
-import heapq
 
-
-def shortest_path(network, source, target, metric="hops"):
-    """Return the list of node ids of a shortest path from ``source`` to ``target``.
+def shortest_path(network, source, target):
+    """Return the list of node ids of a shortest hop path from ``source`` to ``target``.
 
     Raises ``KeyError`` naming the node when ``source`` or ``target`` is not in
-    the network, and ``ValueError`` when no path exists or the metric is
-    unknown.
+    the network, and ``ValueError`` when no path exists.
     """
     for endpoint in (source, target):
         if not network.has_node(endpoint):
             raise KeyError("unknown routing endpoint %r" % (endpoint,))
-    if metric == "hops":
-        path = _bfs_path(network, source, target)
-    elif metric == "delay":
-        path = _dijkstra_path(network, source, target)
-    else:
-        raise ValueError("unknown routing metric %r" % metric)
+    path = _bfs_path(network, source, target)
     if path is None:
         raise ValueError("no path from %r to %r" % (source, target))
     return path
@@ -163,30 +148,6 @@ def _expand_level(frontier, adjacency, distance, level):
     return next_frontier
 
 
-def _dijkstra_path(network, source, target):
-    if source == target:
-        return [source]
-    distances = {source: 0.0}
-    predecessor = {source: None}
-    heap = [(0.0, source)]
-    visited = set()
-    while heap:
-        distance, current = heapq.heappop(heap)
-        if current in visited:
-            continue
-        visited.add(current)
-        if current == target:
-            return _reconstruct(predecessor, target)
-        for link in network.out_links(current):
-            neighbor = link.target
-            candidate = distance + link.propagation_delay
-            if neighbor not in distances or candidate < distances[neighbor]:
-                distances[neighbor] = candidate
-                predecessor[neighbor] = current
-                heapq.heappush(heap, (candidate, neighbor))
-    return None
-
-
 def _reconstruct(predecessor, target):
     path = [target]
     while predecessor[path[-1]] is not None:
@@ -203,9 +164,8 @@ class PathComputer(object):
     the router-to-router segment is cached.
     """
 
-    def __init__(self, network, metric="hops"):
+    def __init__(self, network):
         self.network = network
-        self.metric = metric
         self._cache = {}
 
     def route(self, source_host, destination_host):
@@ -216,16 +176,16 @@ class PathComputer(object):
             ingress = source_node.attached_router
             egress = destination_node.attached_router
             if ingress is None or egress is None:
-                return shortest_path(self.network, source_host, destination_host, self.metric)
+                return shortest_path(self.network, source_host, destination_host)
             router_path = self.router_route(ingress, egress)
             return [source_host] + router_path + [destination_host]
-        return shortest_path(self.network, source_host, destination_host, self.metric)
+        return shortest_path(self.network, source_host, destination_host)
 
     def router_route(self, ingress, egress):
         """Return (and cache) the router-level path between two routers."""
         key = (ingress, egress)
         if key not in self._cache:
-            self._cache[key] = shortest_path(self.network, ingress, egress, self.metric)
+            self._cache[key] = shortest_path(self.network, ingress, egress)
         return list(self._cache[key])
 
     def route_links(self, source_host, destination_host):

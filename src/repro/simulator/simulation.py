@@ -16,27 +16,6 @@ the queue drains.  :meth:`Simulator.run` therefore runs until the queue is
 empty by default, and the time of the last processed event is the
 time-to-quiescence reported by the experiments.
 
-End-of-instant batching
------------------------
-
-All events sharing one timestamp form an *instant*.  Work registered through
-:meth:`Simulator.call_at_instant_end` during an instant is deferred until every
-event of that instant (including events scheduled *for* the instant while it
-runs) has been processed, and executes before the clock advances to the next
-event time.  Deferred callbacks run in registration order, so the mechanism
-preserves the (time, sequence) determinism contract; they may schedule new
-events (same-instant or later) and re-register themselves, in which case the
-flush repeats until the instant is truly exhausted.  The B-Neck protocol layer
-uses this to coalesce ``API.Rate`` notifications: however many rate updates a
-session receives within one instant, its application sees a single batched
-callback carrying the final value (see
-:meth:`repro.core.protocol.BNeckProtocol.notify_rate`).
-
-A run that returns mid-instant (via :meth:`Simulator.stop` or a
-``stop_condition``) leaves the instant incomplete: its deferred callbacks stay
-queued and run when a later ``run`` call finishes the instant.  Runs that end
-because the queue drained or a time horizon was crossed always flush first.
-
 Bookkeeping timers
 ------------------
 
@@ -48,8 +27,9 @@ ends -- without ever touching the event queue.  Timers therefore never show in
 reported quiescence time, and never count against ``max_events`` /
 ``max_time``.  Their callbacks receive the due time explicitly (the clock is
 not advanced for them) and must not schedule simulation events.  The protocol
-uses them for windowed ``API.Rate`` flushes, whose old event-based
-implementation could stretch a reported phase by up to one window.
+uses them for windowed ``API.Rate`` flushes: a flush is pure observation, and
+as a simulation event it would show in ``events_processed`` and could stretch
+a reported phase by up to one window.
 """
 
 import heapq
@@ -75,7 +55,6 @@ class Simulator(object):
         self._now = 0.0
         self._events_processed = 0
         self._running = False
-        self._instant_callbacks = []
         self._timers = []
         self._timer_counter = itertools.count()
         self.max_events = max_events
@@ -104,15 +83,6 @@ class Simulator(object):
     def pending_deliveries(self):
         """Deliveries (:meth:`schedule_delivery`) still waiting in the queue."""
         return self._queue.pending_deliveries
-
-    @property
-    def pending_instant_callbacks(self):
-        """Number of end-of-instant callbacks not yet flushed.
-
-        Non-zero only while a run is mid-instant (or after a run was stopped
-        mid-instant); quiescent simulators always report 0.
-        """
-        return len(self._instant_callbacks)
 
     @property
     def pending_bookkeeping(self):
@@ -144,17 +114,6 @@ class Simulator(object):
         if not delay >= 0:  # also rejects NaN
             raise ValueError("delay must be non-negative, got %r" % delay)
         self._queue.push_delivery(self._now + delay, receiver, message, tag)
-
-    def call_at_instant_end(self, callback):
-        """Defer ``callback`` to the end of the current instant.
-
-        The callback runs after every event carrying the current timestamp has
-        been processed and before the clock advances (or the run returns, when
-        the queue drains or a horizon is crossed).  Callbacks run in
-        registration order and may register further deferred callbacks or
-        schedule new events.  See the module docstring for the full contract.
-        """
-        self._instant_callbacks.append(callback)
 
     def schedule_bookkeeping(self, delay, callback):
         """Schedule an out-of-band *bookkeeping timer* (see module docstring).
@@ -188,29 +147,8 @@ class Simulator(object):
 
     # ---------------------------------------------------------------- running
 
-    def _flush_instant(self):
-        """Run one batch of end-of-instant callbacks (registration order)."""
-        # Emptied in place: the fast loop holds this list.
-        callbacks = list(self._instant_callbacks)
-        self._instant_callbacks.clear()
-        for callback in callbacks:
-            callback()
-
-    def _instant_finished(self):
-        """True when no live event shares the current timestamp."""
-        next_time = self._queue.peek_time()
-        return next_time is None or next_time > self._now
-
     def step(self):
-        """Execute the next pending unit of work.
-
-        Runs either one batch of end-of-instant callbacks (when the current
-        instant is exhausted) or the next event.  Returns ``False`` only when
-        neither remains.
-        """
-        if self._instant_callbacks and self._instant_finished():
-            self._flush_instant()
-            return True
+        """Execute the next pending event; returns ``False`` when none remains."""
         entry = self._queue.pop_entry()
         if entry is None:
             return False
@@ -254,7 +192,7 @@ class Simulator(object):
         if self._timers and not self._stop_requested:
             # Runs that ended by draining (or crossing a horizon) fire their
             # matured bookkeeping timers; runs ended early by stop() or a
-            # stop_condition leave them pending, like unfinished instants.
+            # stop_condition leave them pending for the next run.
             next_time = self._queue.peek_time()
             if next_time is None or (until is not None and next_time > until):
                 self._fire_timers(until)
@@ -265,19 +203,6 @@ class Simulator(object):
         while True:
             if self._stop_requested:
                 break
-            if self._instant_callbacks and self._instant_finished():
-                # The current instant is exhausted: flush its deferred work
-                # before the clock may advance (or the run return).  The
-                # predicate is re-evaluated right after -- flushed callbacks
-                # (batched API.Rate deliveries) are exactly what stop
-                # conditions tend to watch.
-                self._flush_instant()
-                if stop_condition is not None and stop_condition():
-                    # Record the early termination so the end-of-run timer
-                    # flush knows this run was paused, not drained.
-                    self._stop_requested = True
-                    break
-                continue
             next_time = self._queue.peek_time()
             if next_time is None:
                 break
@@ -289,6 +214,8 @@ class Simulator(object):
             self._check_limits(next_time)
             self.step()
             if stop_condition is not None and stop_condition():
+                # Record the early termination so the end-of-run timer flush
+                # knows this run was paused, not drained.
                 self._stop_requested = True
                 break
 
@@ -309,15 +236,9 @@ class Simulator(object):
         # in place, so the local names stay valid.
         queue = self._queue
         heap = queue._heap
-        instant_callbacks = self._instant_callbacks
         timers = self._timers
         heappop = heapq.heappop
-        while not (check_stop and self._stop_requested):
-            if instant_callbacks and self._instant_finished():
-                self._flush_instant()
-                continue
-            if not heap:
-                break
+        while heap and not (check_stop and self._stop_requested):
             time, _sequence, function, argument, _tag, event = heappop(heap)
             if event is not None:
                 if event.cancelled:
@@ -335,8 +256,6 @@ class Simulator(object):
 
         The returned value is the timestamp of the last processed event, i.e.
         the instant at which the network stopped carrying control traffic.
-        End-of-instant callbacks do not delay the reported time: they execute
-        at the timestamp of the instant they belong to.
         """
         if self._unconstrained():
             self._drain_fast(check_stop=False)
@@ -347,9 +266,6 @@ class Simulator(object):
             return self._now
         last_event_time = self._now
         while True:
-            if self._instant_callbacks and self._instant_finished():
-                self._flush_instant()
-                continue
             next_time = self._queue.peek_time()
             if next_time is None:
                 break

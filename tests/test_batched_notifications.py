@@ -1,12 +1,10 @@
-"""Batched ``API.Rate`` delivery semantics.
+"""``API.Rate`` delivery semantics.
 
 Pinned guarantees:
 
-* **Per-instant coalescing**: however many times a session's rate is
-  renegotiated within one simulation instant, its application receives exactly
-  one ``deliver_rate`` callback carrying the final value, at the instant's
-  timestamp, after every event of the instant.
-* **Observation-only**: batching and the notification-log variants never
+* **Synchronous by default**: every ``notify_rate`` call reaches the
+  application at once, stamped with the current simulation time.
+* **Observation-only**: the delivery window and the notification log never
   change the simulation -- the fixed-seed golden scenarios of
   ``tests/data/hot_path_goldens.json`` reproduce identical event counts,
   quiescence times and final allocations with any pipeline configuration.
@@ -16,6 +14,7 @@ Pinned guarantees:
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -42,7 +41,7 @@ def _single_link_protocol(**kwargs):
     return protocol, source.node_id, sink.node_id
 
 
-class TestPerInstantCoalescing(object):
+class TestSynchronousDelivery(object):
     def _notify_twice_in_one_instant(self, **kwargs):
         protocol, source, sink = _single_link_protocol(**kwargs)
         session, application = protocol.open_session(source, sink, session_id="a")
@@ -60,48 +59,17 @@ class TestPerInstantCoalescing(object):
         protocol.run_until_quiescent()
         return protocol, application, baseline
 
-    def test_batched_delivers_one_final_rate_per_instant(self):
+    def test_delivers_every_invocation(self):
         protocol, application, baseline = self._notify_twice_in_one_instant()
-        assert application.notification_count == baseline + 1
+        assert application.notification_count == baseline + 2
         assert application.current_rate == 70 * MBPS
-        # The record side still saw both invocations.
         assert protocol.notification_log.recorded == baseline + 2
         assert protocol.last_notified_rate("a") == 70 * MBPS
 
-    def test_unbatched_delivers_every_invocation(self):
-        protocol, application, baseline = self._notify_twice_in_one_instant(
-            batch_notifications=False
-        )
-        assert application.notification_count == baseline + 2
-        assert application.current_rate == 70 * MBPS
-
-    def test_batched_delivery_carries_the_instant_timestamp(self):
+    def test_delivery_carries_the_event_timestamp(self):
         protocol, application, _ = self._notify_twice_in_one_instant()
         last = application.notifications[-1]
-        assert last.time == pytest.approx(protocol.simulator.now)
-
-    def test_batched_delivery_order_is_first_update_order(self):
-        protocol, source, sink = _single_link_protocol()
-        protocol.open_session(source, sink, session_id="a")
-        protocol.run_until_quiescent()
-        order = []
-
-        class Recording(SessionApplication):
-            def on_rate(self, time, rate):
-                order.append((self.session_id, rate))
-
-        protocol._applications["a"] = Recording("a", 100 * MBPS)
-        protocol._applications["b"] = Recording("b", 100 * MBPS)
-
-        def burst():
-            protocol.notify_rate("b", 1.0)
-            protocol.notify_rate("a", 2.0)
-            protocol.notify_rate("b", 3.0)
-
-        protocol.simulator.schedule(1e-3, burst)
-        protocol.run_until_quiescent()
-        # b was updated first (and coalesced to its final value), then a.
-        assert order == [("b", 3.0), ("a", 2.0)]
+        assert last.time == protocol.simulator.now
 
     def test_same_instant_join_then_change_yields_single_final_rate(self):
         protocol, source, sink = _single_link_protocol()
@@ -135,23 +103,18 @@ class TestPerInstantCoalescing(object):
 class TestGoldenBitIdentity(object):
     """Any pipeline configuration reproduces the pinned golden scenarios."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"notification_log": "ring", "batch_notifications": True},
-            {"notification_log": "null", "batch_notifications": True},
-            {"notification_log": "full", "batch_notifications": False},
-        ],
-        ids=["ring-batched", "null-batched", "full-synchronous"],
-    )
-    def test_allocation_matches_golden(self, kwargs):
+    @pytest.mark.parametrize("window", [None, 1e-3], ids=["synchronous", "window-1ms"])
+    @pytest.mark.parametrize("log", ["full", "null"])
+    def test_allocation_matches_golden(self, log, window):
         key = sorted(GOLDENS)[0]
         golden = GOLDENS[key]
         size, delay, seed, count = key.split("-")
         seed = int(seed[1:])
         count = int(count[1:])
         network = NetworkScenario(size, delay, seed=seed).build()
-        protocol = BNeckProtocol(network, **kwargs)
+        protocol = BNeckProtocol(
+            network, notification_log=log, notification_batch_window=window
+        )
         generator = WorkloadGenerator(network, seed=seed + count)
         generator.populate(protocol, count, join_window=(0.0, 1e-3))
         quiescence = protocol.run_until_quiescent()
@@ -198,15 +161,36 @@ class TestWindowedBatching(object):
         protocol.run_until_quiescent()
         assert application.notification_count == baseline + 2
 
-    def test_rejects_non_positive_window(self):
-        with pytest.raises(ValueError):
-            _single_link_protocol(notification_batch_window=0.0)
+    def test_delivery_order_is_first_update_order(self):
+        protocol, source, sink = _single_link_protocol(notification_batch_window=1e-3)
+        protocol.open_session(source, sink, session_id="a")
+        protocol.run_until_quiescent()
+        order = []
+
+        class Recording(SessionApplication):
+            def on_rate(self, time, rate):
+                order.append((self.session_id, rate))
+
+        protocol._applications["a"] = Recording("a", 100 * MBPS)
+        protocol._applications["b"] = Recording("b", 100 * MBPS)
+        simulator = protocol.simulator
+        simulator.schedule_at(10e-3 + 1e-4, lambda: protocol.notify_rate("b", 1.0))
+        simulator.schedule_at(10e-3 + 2e-4, lambda: protocol.notify_rate("a", 2.0))
+        simulator.schedule_at(10e-3 + 3e-4, lambda: protocol.notify_rate("b", 3.0))
+        protocol.run_until_quiescent()
+        # b was updated first (and coalesced to its final value), then a.
+        assert order == [("b", 3.0), ("a", 2.0)]
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_window(self, window):
+        with pytest.raises(ValueError, match="notification_batch_window"):
+            _single_link_protocol(notification_batch_window=window)
 
     def test_windowed_flush_is_invisible_to_simulation_metrics(self):
         """The flush is bookkeeping, not an event (ROADMAP follow-up).
 
         A windowed run must report the same ``events_processed`` and the same
-        quiescence time as the equivalent per-instant run: the flush never
+        quiescence time as the equivalent synchronous run: the flush never
         occupies an event-queue slot and never stretches a reported phase by
         up to one window (the historical quirk of the event-based flush).
         """

@@ -5,6 +5,7 @@ small workload, so the documented entry points keep working as the library
 evolves.
 """
 
+import hashlib
 import importlib.util
 import os
 
@@ -76,3 +77,28 @@ def test_stochastic_churn_capacity_dynamics(capsys):
     output = capsys.readouterr().out
     assert "capacity-dynamics restore" in output
     assert "NO" not in output
+
+
+# sha256 of the full stdout of each command, recorded from the scripts.  They
+# pin the application-facing ``API.Rate`` stream: ``dynamic_sessions`` prints
+# every callback, and ``stochastic_churn`` prints per-round callback counts.
+STDOUT_DIGESTS = [
+    ("dynamic_sessions", [],
+     "cb872984129d168eb52419ccbaea4d692f9c7081a10482392e3435ea60f95539"),
+    ("stochastic_churn", [],
+     "0e6da45f11a21d2f4275e2311cf34f52bc6c45b52f3a41ab2fd4d8330e66dbba"),
+    ("stochastic_churn", ["--workload", "capacity-dynamics", "--seed", "13"],
+     "b02305001858b5272421b016f79dd01b39ff0beef2f48505f9f54f58dc8af09e"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, digest",
+    STDOUT_DIGESTS,
+    ids=["dynamic-sessions", "stochastic-churn", "stochastic-churn-capacity-dynamics"],
+)
+def test_example_stdout_is_pinned(capsys, name, argv, digest):
+    module = load_example(name)
+    assert module.main(argv) == 0
+    output = capsys.readouterr().out
+    assert hashlib.sha256(output.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.notifications import NullNotificationLog
 from repro.core.protocol import BNeckProtocol
 from repro.experiments.runner import ExperimentRunner, RunMeasurement, ScenarioSpec
 from repro.network.topology import parking_lot_topology
@@ -67,13 +68,13 @@ class TestScenarioSpec(object):
     def test_notification_knobs_reach_the_protocol(self):
         spec = ScenarioSpec(
             size="small",
-            notification_log="ring:16",
-            batch_notifications=False,
+            notification_log="null",
+            notification_batch_window=2e-3,
         )
         runner = ExperimentRunner(spec)
-        assert runner.protocol.notification_log.kind == "ring"
-        assert runner.protocol.notification_log.capacity == 16
-        assert runner.protocol.batch_notifications is False
+        assert isinstance(runner.protocol.notification_log, NullNotificationLog)
+        assert runner.protocol.notification_batch_window == 2e-3
+        assert repr(spec) == "ScenarioSpec('small-lan', seed=0, log='null', window=0.002)"
 
     def test_protocol_factory_override(self):
         built = {}

@@ -39,23 +39,7 @@ def test_shortest_path_prefers_fewer_hops():
     network.add_link("a", "c", 10 * MBPS, microseconds(1))
     network.add_link("c", "d", 10 * MBPS, microseconds(1))
     network.add_link("a", "d", 10 * MBPS, milliseconds(10))
-    assert shortest_path(network, "a", "d", metric="hops") == ["a", "d"]
-
-
-def test_delay_metric_avoids_slow_links():
-    network = Network()
-    for name in ("a", "b", "d"):
-        network.add_router(name)
-    network.add_link("a", "d", 10 * MBPS, milliseconds(10))
-    network.add_link("a", "b", 10 * MBPS, microseconds(1))
-    network.add_link("b", "d", 10 * MBPS, microseconds(1))
-    assert shortest_path(network, "a", "d", metric="delay") == ["a", "b", "d"]
-
-
-def test_unknown_metric_rejected():
-    network = line_topology(2)
-    with pytest.raises(ValueError):
-        shortest_path(network, "r0", "r1", metric="bandwidth")
+    assert shortest_path(network, "a", "d") == ["a", "d"]
 
 
 def test_no_path_raises():
@@ -66,16 +50,15 @@ def test_no_path_raises():
         shortest_path(network, "a", "b")
 
 
-@pytest.mark.parametrize("metric", ["hops", "delay"])
 @pytest.mark.parametrize(
     "source, target",
     [("ghost", "r1"), ("r0", "ghost"), ("ghost", "ghost")],
     ids=["unknown-source", "unknown-target", "unknown-source-equals-target"],
 )
-def test_unknown_endpoint_raises_key_error_naming_it(metric, source, target):
+def test_unknown_endpoint_raises_key_error_naming_it(source, target):
     network = line_topology(2)
     with pytest.raises(KeyError, match="'ghost'"):
-        shortest_path(network, source, target, metric=metric)
+        shortest_path(network, source, target)
 
 
 def test_path_links_matches_node_path():

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable NotificationLog variants."""
+"""Unit tests for the NotificationLog variants."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core.api import RateNotification
 from repro.core.notifications import (
     NotificationLog,
     NullNotificationLog,
-    RingNotificationLog,
     make_notification_log,
 )
 
@@ -21,44 +20,6 @@ class TestFullLog(object):
         assert log[0].session_id == "a"
         assert [n.rate for n in log] == [10.0, 20.0]
         assert log.recorded == 2
-        assert log.dropped == 0
-
-    def test_last_for_scans_backwards(self):
-        log = NotificationLog()
-        log.record(0.1, "a", 10.0)
-        log.record(0.2, "a", 15.0)
-        log.record(0.3, "b", 20.0)
-        assert log.last_for("a").rate == 15.0
-        assert log.last_for("missing") is None
-
-    def test_clear(self):
-        log = NotificationLog()
-        log.record(0.1, "a", 10.0)
-        log.clear()
-        assert len(log) == 0
-        assert log.recorded == 0
-
-
-class TestRingLog(object):
-    def test_bounded_retention_counts_drops(self):
-        log = RingNotificationLog(capacity=2)
-        for index in range(5):
-            log.record(index * 0.1, "s%d" % index, float(index))
-        assert len(log) == 2
-        assert [n.session_id for n in log] == ["s3", "s4"]
-        assert log.recorded == 5
-        assert log.dropped == 3
-
-    def test_last_for_sees_only_retained(self):
-        log = RingNotificationLog(capacity=1)
-        log.record(0.1, "a", 10.0)
-        log.record(0.2, "b", 20.0)
-        assert log.last_for("a") is None
-        assert log.last_for("b").rate == 20.0
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            RingNotificationLog(capacity=0)
 
 
 class TestNullLog(object):
@@ -68,38 +29,17 @@ class TestNullLog(object):
         assert len(log) == 0
         assert list(log) == []
         assert log.recorded == 1
-        assert log.dropped == 1
-        assert log.last_for("a") is None
         with pytest.raises(IndexError):
             log[0]
-
-    def test_clear_resets_counter(self):
-        log = NullNotificationLog()
-        log.record(0.1, "a", 10.0)
-        log.clear()
-        assert log.recorded == 0
 
 
 class TestFactory(object):
     def test_named_variants(self):
         assert isinstance(make_notification_log(None), NotificationLog)
         assert isinstance(make_notification_log("full"), NotificationLog)
-        assert isinstance(make_notification_log("ring"), RingNotificationLog)
         assert isinstance(make_notification_log("null"), NullNotificationLog)
 
-    def test_ring_with_capacity(self):
-        log = make_notification_log("ring:7")
-        assert isinstance(log, RingNotificationLog)
-        assert log.capacity == 7
-
-    def test_passthrough_and_callable(self):
-        log = RingNotificationLog(capacity=3)
-        assert make_notification_log(log) is log
-        built = make_notification_log(NullNotificationLog)
-        assert isinstance(built, NullNotificationLog)
-
     def test_rejects_unknown_specs(self):
-        with pytest.raises(ValueError):
-            make_notification_log("bogus")
-        with pytest.raises(TypeError):
-            make_notification_log(42)
+        for spec in ("bogus", "ring", "ring:8", 42, NullNotificationLog):
+            with pytest.raises(ValueError, match="unknown notification log"):
+                make_notification_log(spec)

@@ -17,8 +17,9 @@ single ``step()`` calls.  Covered here:
   has quiesced take effect on the next run; calls dated in the past run
   immediately.
 * **Edge cases**: event and time limits raise, a horizon run executes the
-  whole horizon instant, a ring notification log keeps the newest records,
-  and an exception raised by an event leaves the rest of the queue runnable.
+  whole horizon instant, a null notification log counts every record the
+  full log keeps, and an exception raised by an event leaves the rest of the
+  queue runnable.
 """
 
 import pytest
@@ -99,7 +100,7 @@ class TestRunModeEquivalence(object):
         protocol = runner.protocol
         assert protocol.quiescent
         assert protocol.in_flight_packets == 0
-        assert protocol.simulator.pending_instant_callbacks == 0
+        assert protocol.simulator.pending_bookkeeping == 0
         assert validate_against_oracle(protocol).valid
         assert sorted(protocol.current_allocation().as_dict()) == sorted(
             runner.active_ids
@@ -320,41 +321,45 @@ class TestEdgeCases(object):
             runner.run_to_quiescence()
         assert runner.protocol.simulator.now <= 2e-4
 
-    def test_ring_log_keeps_the_newest_in_run_records(self):
-        runner = ExperimentRunner(
-            ScenarioSpec(
-                size="small",
-                delay_model="lan",
-                seed=6,
-                notification_log="ring:8",
-                batch_notifications=False,
-            ),
-            generator_seed=6,
-        )
-        runner.populate(10, join_window=(0.0, 1e-4))
-        for index in range(8):  # fill the ring before the run
-            runner.protocol.notify_rate("warmup-%d" % index, float(index))
-        runner.run_to_quiescence()
-        log = runner.protocol.notification_log
-        retained = [(record.session_id, record.rate) for record in log]
-        assert log.recorded > 16
-        assert len(retained) == 8
-        assert not any(sid.startswith("warmup") for sid, _ in retained)
+    def test_null_log_counts_every_record_the_full_log_keeps(self):
+        def run(notification_log):
+            runner = ExperimentRunner(
+                ScenarioSpec(
+                    size="small",
+                    delay_model="lan",
+                    seed=6,
+                    notification_log=notification_log,
+                ),
+                generator_seed=6,
+            )
+            runner.populate(10, join_window=(0.0, 1e-4))
+            for index in range(8):  # records made before the run
+                runner.protocol.notify_rate("warmup-%d" % index, float(index))
+            runner.run_to_quiescence()
+            return runner.protocol
+
+        full, null = run("full"), run("null")
+        assert full.notification_log.recorded == len(full.notification_log) > 16
+        assert null.notification_log.recorded == full.notification_log.recorded
+        assert list(null.notification_log) == []
+        # The log is observation only: the run and its callbacks are unchanged.
+        assert null.simulator.events_processed == full.simulator.events_processed
+        assert null.rate_callbacks == full.rate_callbacks
+        assert null.notified_allocation().as_dict() == full.notified_allocation().as_dict()
 
     def test_horizon_includes_events_at_exactly_the_horizon(self):
         simulator = Simulator()
         fired = []
         simulator.schedule_at(1e-6, lambda: fired.append("early"))
         simulator.schedule_at(2e-6, lambda: fired.append("on"))
-        simulator.schedule_at(2e-6, lambda: simulator.call_at_instant_end(
-            lambda: fired.append("flush")))
+        simulator.schedule_at(2e-6, lambda: fired.append("on-too"))
         simulator.schedule_at(5e-6, lambda: fired.append("late"))
         assert simulator.run(until=2e-6) == 2e-6
-        # Everything at the horizon instant ran, its flush included.
-        assert fired == ["early", "on", "flush"]
+        # Everything at the horizon instant ran.
+        assert fired == ["early", "on", "on-too"]
         assert simulator.pending_events == 1
         assert simulator.run(until=1e-5) == 1e-5
-        assert fired == ["early", "on", "flush", "late"]
+        assert fired == ["early", "on", "on-too", "late"]
 
     def test_failing_event_propagates_and_leaves_the_queue_runnable(self):
         simulator = Simulator()

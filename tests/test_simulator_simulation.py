@@ -224,136 +224,6 @@ def test_schedule_delivery_counts_as_pending_delivery(simulator):
     assert simulator.pending_events == 0
 
 
-# ------------------------------------------------------ end-of-instant hooks
-
-
-def test_instant_callback_runs_after_all_same_instant_events(simulator):
-    fired = []
-
-    def first():
-        fired.append("first")
-        simulator.call_at_instant_end(lambda: fired.append("deferred"))
-
-    simulator.schedule(1.0, first)
-    simulator.schedule(1.0, lambda: fired.append("second"))
-    simulator.schedule(2.0, lambda: fired.append("next-instant"))
-    simulator.run_until_quiescent()
-    assert fired == ["first", "second", "deferred", "next-instant"]
-
-
-def test_instant_callbacks_preserve_registration_order(simulator):
-    fired = []
-
-    def register_two():
-        simulator.call_at_instant_end(lambda: fired.append("a"))
-        simulator.call_at_instant_end(lambda: fired.append("b"))
-
-    simulator.schedule(1.0, register_two)
-    simulator.run_until_quiescent()
-    assert fired == ["a", "b"]
-
-
-def test_instant_callback_sees_the_instant_clock(simulator):
-    seen = []
-    simulator.schedule(1.5, lambda: simulator.call_at_instant_end(
-        lambda: seen.append(simulator.now)))
-    simulator.schedule(3.0, lambda: None)
-    simulator.run_until_quiescent()
-    assert seen == [1.5]
-
-
-def test_instant_callback_may_schedule_same_instant_events(simulator):
-    fired = []
-
-    def deferred():
-        fired.append("deferred")
-        simulator.schedule(0.0, lambda: fired.append("late-arrival"))
-
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(deferred))
-    simulator.run_until_quiescent()
-    # The event scheduled *by* the flush still belongs to the instant and runs
-    # before the clock may advance.
-    assert fired == ["deferred", "late-arrival"]
-    assert simulator.now == 1.0
-
-
-def test_instant_callback_may_redefer(simulator):
-    fired = []
-
-    def again():
-        fired.append("again")
-
-    def deferred():
-        fired.append("deferred")
-        simulator.call_at_instant_end(again)
-
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(deferred))
-    simulator.run_until_quiescent()
-    assert fired == ["deferred", "again"]
-
-
-def test_instant_callbacks_flush_before_horizon_return(simulator):
-    fired = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append("flushed")))
-    simulator.schedule(5.0, lambda: fired.append("beyond"))
-    simulator.run(until=2.0)
-    assert fired == ["flushed"]
-    assert simulator.pending_instant_callbacks == 0
-
-
-def test_instant_callbacks_flush_in_general_loop(simulator):
-    # max_events forces the fully-featured run loop instead of the fast drain.
-    simulator.max_events = 100
-    fired = []
-
-    def first():
-        fired.append("first")
-        simulator.call_at_instant_end(lambda: fired.append("deferred"))
-
-    simulator.schedule(1.0, first)
-    simulator.schedule(1.0, lambda: fired.append("second"))
-    simulator.run_until_quiescent()
-    assert fired == ["first", "second", "deferred"]
-
-
-def test_step_completes_the_instant_before_advancing(simulator):
-    fired = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append("deferred")))
-    simulator.schedule(2.0, lambda: fired.append("later"))
-    assert simulator.step()           # the t=1.0 event
-    assert fired == []
-    assert simulator.pending_instant_callbacks == 1
-    assert simulator.step()           # the flush (not an event)
-    assert fired == ["deferred"]
-    assert simulator.events_processed == 1
-    assert simulator.step()           # the t=2.0 event
-    assert fired == ["deferred", "later"]
-    assert not simulator.step()
-
-
-def test_stop_condition_reevaluated_after_instant_flush(simulator):
-    # A predicate that only flips inside the flushed callback (the shape of
-    # "wait for a batched API.Rate delivery") must stop the run at the flush,
-    # not one event later.
-    delivered = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: delivered.append("rate")))
-    simulator.schedule(2.0, lambda: delivered.append("overshoot"))
-    simulator.run(stop_condition=lambda: bool(delivered))
-    assert delivered == ["rate"]
-    assert simulator.now == 1.0
-    assert simulator.pending_events == 1
-
-
-def test_instant_flush_is_not_an_event(simulator):
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: None))
-    simulator.run_until_quiescent()
-    assert simulator.events_processed == 1
-    assert simulator.now == 1.0
-
-
 class TestBookkeepingTimers(object):
     """schedule_bookkeeping: out-of-band timers that are not events."""
 
