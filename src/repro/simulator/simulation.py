@@ -148,10 +148,15 @@ class Simulator(object):
     # ---------------------------------------------------------------- running
 
     def step(self):
-        """Execute the next pending event; returns ``False`` when none remains."""
+        """Execute the next pending event; returns ``False`` when none remains.
+
+        Bookkeeping timers due at or before the event's time fire first.
+        """
         entry = self._queue.pop_entry()
         if entry is None:
             return False
+        if self._timers and self._timers[0][0] <= entry[0]:
+            self._fire_timers(entry[0])
         self._now = entry[0]
         self._events_processed += 1
         if self.tracer is not None:
@@ -209,8 +214,6 @@ class Simulator(object):
             if until is not None and next_time > until:
                 self._now = until
                 break
-            if self._timers and self._timers[0][0] <= next_time:
-                self._fire_timers(next_time)
             self._check_limits(next_time)
             self.step()
             if stop_condition is not None and stop_condition():
@@ -269,8 +272,6 @@ class Simulator(object):
             next_time = self._queue.peek_time()
             if next_time is None:
                 break
-            if self._timers and self._timers[0][0] <= next_time:
-                self._fire_timers(next_time)
             self._check_limits(next_time)
             self.step()
             last_event_time = self._now

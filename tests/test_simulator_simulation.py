@@ -304,3 +304,136 @@ class TestBookkeepingTimers(object):
         assert simulator.pending_bookkeeping == 1
         simulator.run_until_quiescent()
         assert fired == [5.0]
+
+
+def _run_fast(simulator):
+    simulator.run()
+
+
+def _run_capped(simulator):
+    simulator.max_events = 10 ** 6
+    simulator.run()
+
+
+def _run_to_horizon(simulator):
+    simulator.run(until=100.0)
+
+
+def _quiescent_fast(simulator):
+    simulator.run_until_quiescent()
+
+
+def _quiescent_capped(simulator):
+    simulator.max_time = 100.0
+    simulator.run_until_quiescent()
+
+
+# Every run loop must honour the bookkeeping-timer contract: run() and
+# run_until_quiescent() each have an unconstrained drain and a general loop.
+RUN_LOOPS = pytest.mark.parametrize(
+    "drive",
+    [_run_fast, _run_capped, _run_to_horizon, _quiescent_fast, _quiescent_capped],
+    ids=["run-fast", "run-capped", "run-horizon", "quiescent-fast", "quiescent-capped"],
+)
+
+
+class TestBookkeepingTimersInEveryLoop(object):
+    @RUN_LOOPS
+    def test_timer_due_at_an_event_time_fires_before_that_event(self, drive):
+        simulator = Simulator()
+        order = []
+        simulator.schedule(1.0, lambda: order.append("first"))
+        simulator.schedule(2.0, lambda: order.append("tied"))
+        simulator.schedule_bookkeeping(2.0, lambda due: order.append(("timer", due)))
+        drive(simulator)
+        assert order == ["first", ("timer", 2.0), "tied"]
+        assert simulator.events_processed == 2
+
+    @RUN_LOOPS
+    def test_timer_gets_its_due_time_without_advancing_the_clock(self, drive):
+        simulator = Simulator()
+        seen = []
+        simulator.schedule(1.0, lambda: None)
+        simulator.schedule(3.0, lambda: None)
+        simulator.schedule_bookkeeping(2.0, lambda due: seen.append((due, simulator.now)))
+        drive(simulator)
+        # Fired between the two events: the clock still reads the first one.
+        assert seen == [(2.0, 1.0)]
+
+    @RUN_LOOPS
+    def test_timer_scheduled_by_an_event_fires_before_later_events(self, drive):
+        simulator = Simulator()
+        order = []
+
+        def arm():
+            order.append("arm")
+            simulator.schedule_bookkeeping(0.5, lambda due: order.append(("timer", due)))
+
+        simulator.schedule(1.0, arm)
+        simulator.schedule(2.0, lambda: order.append("later"))
+        drive(simulator)
+        assert order == ["arm", ("timer", 1.5), "later"]
+        assert simulator.pending_bookkeeping == 0
+
+
+class TestBookkeepingTimerEdges(object):
+    def test_step_fires_matured_timers_before_the_event(self):
+        simulator = Simulator()
+        order = []
+        simulator.schedule(1.0, lambda: order.append("event"))
+        simulator.schedule_bookkeeping(1.0, lambda due: order.append(("timer", due)))
+        assert simulator.step()
+        assert order == [("timer", 1.0), "event"]
+        assert simulator.pending_bookkeeping == 0
+
+    def test_step_leaves_future_timers_pending(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, lambda: None)
+        simulator.schedule_bookkeeping(2.0, fired.append)
+        assert simulator.step()
+        assert fired == []
+        assert simulator.pending_bookkeeping == 1
+
+    def test_tracer_never_sees_a_timer(self):
+        class RecordingTracer(object):
+            def __init__(self):
+                self.events = []
+
+            def on_event(self, time, tag):
+                self.events.append((time, tag))
+
+        tracer = RecordingTracer()
+        simulator = Simulator(tracer=tracer)
+        fired = []
+        simulator.schedule(1.0, lambda: None, tag="alpha")
+        simulator.schedule(3.0, lambda: None, tag="beta")
+        simulator.schedule_bookkeeping(2.0, fired.append)
+        simulator.schedule_bookkeeping(9.0, fired.append)
+        simulator.run_until_quiescent()
+        assert fired == [2.0, 9.0]
+        assert tracer.events == [(1.0, "alpha"), (3.0, "beta")]
+
+    @pytest.mark.parametrize("method", ["run", "run_until_quiescent"])
+    def test_timer_past_max_time_does_not_trip_the_cap(self, method):
+        simulator = Simulator(max_time=2.0)
+        fired = []
+        simulator.schedule(1.0, lambda: None)
+        simulator.schedule_bookkeeping(5.0, fired.append)
+        getattr(simulator, method)()
+        assert fired == [5.0]
+        assert simulator.now == 1.0
+
+    def test_drained_horizon_run_fires_timers_up_to_the_horizon(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, lambda: None)
+        simulator.schedule_bookkeeping(2.0, fired.append)
+        simulator.schedule_bookkeeping(8.0, fired.append)
+        simulator.run(until=5.0)
+        assert fired == [2.0]
+        assert simulator.now == 5.0
+        assert simulator.pending_bookkeeping == 1
+        simulator.run(until=10.0)
+        assert fired == [2.0, 8.0]
+        assert simulator.pending_bookkeeping == 0
