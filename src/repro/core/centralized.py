@@ -13,42 +13,68 @@ the centralized version with the same input data".
 Maximum-rate requests are handled through the paper's *modified system*: each
 session with a finite requested rate gets a private virtual link of capacity
 ``D_s = min(r_s, C_e0)`` prepended to its path.
+
+The estimates live in a heap keyed by ``(estimate, first-seen order,
+version)``.  A round pops the minimal group, the heap prefix inside the
+algebra's ``equal_window`` of the smallest estimate, and re-keys only the links
+on the paths of the sessions it fixed; entries of links re-keyed or removed
+since they were pushed are stale and dropped when they surface.  An estimate
+changes only when a session crossing its link is fixed, so every other link
+keeps the value a full rescan would recompute, and the whole run costs
+``O(sum of path lengths * log #links)`` instead of ``#rounds * #links``.
 """
+
+import heapq
+import math
+from operator import itemgetter
 
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
+from repro.fairness.bottleneck import link_incidence
+
+_order_of = itemgetter(1)
 
 
-def _build_link_table(sessions, algebra):
-    """Map link key -> (capacity, set of crossing session ids).
+def _build_link_table(sessions, incidence):
+    """The links of the modified system, in first-seen order.
 
-    Real links are keyed by their endpoints; the virtual demand link of a
-    session ``s`` is keyed by ``("demand", s)``.  Capacities are lifted into
-    the algebra's number type so division chains stay exact under ExactAlgebra.
+    Returns ``(capacities, members, index_of, demand_index)``: per link
+    position, its capacity and member sessions; the position of each real
+    link (by endpoints) and of each session's virtual demand link (by session
+    id).  Real links come from ``incidence``; a session's demand link follows
+    the links it was first to cross, so positions are the order in which a
+    walk over the sessions' paths meets the links.
     """
-    import math
-
-    capacities = {}
-    members = {}
+    capacities = []
+    members = []
+    index_of = {}
+    demand_index = {}
+    entries = iter(incidence.items())
+    pending = next(entries, None)
     for session in sessions:
-        for link in session.links:
-            key = link.endpoints
-            capacities[key] = algebra.divide(link.capacity, 1)
-            members.setdefault(key, set()).add(session.session_id)
+        # A link's first member is the session that first crossed it.
+        while pending is not None and pending[1][1][0] is session:
+            endpoints, (link, crossing) = pending
+            index_of[endpoints] = len(capacities)
+            capacities.append(link.capacity)
+            members.append(crossing)
+            pending = next(entries, None)
         demand = session.effective_demand()
         if not math.isinf(demand):
-            key = ("demand", session.session_id)
-            capacities[key] = algebra.divide(demand, 1)
-            members[key] = {session.session_id}
-    return capacities, members
+            demand_index[session.session_id] = len(capacities)
+            capacities.append(demand)
+            members.append((session,))
+    return capacities, members, index_of, demand_index
 
 
-def centralized_bneck(sessions, algebra=None):
+def centralized_bneck(sessions, algebra=None, incidence=None):
     """Compute the max-min fair rates of ``sessions`` with Centralized B-Neck.
 
     Args:
         sessions: iterable of :class:`~repro.network.session.Session`.
         algebra: optional :class:`~repro.fairness.algebra.RateAlgebra`.
+        incidence: optional :func:`~repro.fairness.bottleneck.link_incidence`
+            of ``sessions``, built here when omitted.
 
     Returns:
         A :class:`~repro.fairness.allocation.RateAllocation`.
@@ -58,53 +84,79 @@ def centralized_bneck(sessions, algebra=None):
     allocation = RateAllocation(algebra=algebra)
     if not sessions:
         return allocation
+    if incidence is None:
+        incidence = link_incidence(sessions)
 
-    capacities, members = _build_link_table(sessions, algebra)
+    capacities, members, index_of, demand_index = _build_link_table(sessions, incidence)
+    divide = algebra.divide
+    unfixed = [len(crossing) for crossing in members]         # |R_e|
+    # Load of the already-fixed sessions crossing each link (the F_e sum):
+    # every session fixed in a round got the same minimal rate, so the sum
+    # grows by ``minimum * moved`` per link.
+    fixed_load = [0] * len(capacities)
+    # Capacities lifted into the algebra's number type, so the subtraction
+    # stays exact under ExactAlgebra; only links that are re-keyed need it.
+    lifted = [None] * len(capacities)
+    # A heap entry is current while its version is the link's; a removed
+    # link's version is None.
+    version = [0] * len(capacities)
+    heap = [
+        (divide(capacity, count), position, 0)
+        for position, (capacity, count) in enumerate(zip(capacities, unfixed))
+    ]
+    heapq.heapify(heap)
+    rates = {}                                                   # lambda*_s
 
-    restricted = {key: set(ids) for key, ids in members.items()}   # R_e
-    # Load of the already-fixed sessions crossing each link (the F_e sum),
-    # maintained incrementally: every session fixed in a round got the same
-    # minimal rate, so the sum grows by ``minimum * |moved|`` per link.
-    fixed_load = {key: 0 for key in members}
-    rates = {}                                                     # lambda*_s
-    # Kept as an insertion-ordered list so the minimum tie-break among
-    # near-equal estimates does not depend on set (hash) iteration order.
-    live_links = [key for key, ids in restricted.items() if ids]
-
-    # Each round fixes the rate of at least one session, so the loop runs at
-    # most once per session.
-    for _ in range(len(sessions) + 1):
-        if not live_links:
-            break
-        estimates = {}
-        for key in live_links:
-            estimates[key] = algebra.divide(
-                capacities[key] - fixed_load[key], len(restricted[key])
-            )
-        minimum = algebra.minimum(estimates.values())
-        minimal_links = {
-            key for key in live_links if algebra.equal(estimates[key], minimum)
-        }
-        newly_fixed = set()
-        for key in minimal_links:
-            newly_fixed |= restricted[key]
-        for session_id in newly_fixed:
-            rates[session_id] = minimum
-        next_live = []
-        for key in live_links:
-            if key in minimal_links:
+    while heap:
+        if version[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)
+            continue
+        high = algebra.equal_window(heap[0][0])[1]
+        prefix = []
+        while heap and heap[0][0] <= high:
+            entry = heapq.heappop(heap)
+            if version[entry[1]] == entry[2]:
+                prefix.append(entry)
+        # The minimum is taken in first-seen order, as a rescan of every live
+        # link meets them: among estimates the algebra calls equal, the first
+        # met is the rate the group gets.
+        prefix.sort(key=_order_of)
+        minimum = algebra.minimum(entry[0] for entry in prefix)
+        newly_fixed = []
+        for entry in prefix:
+            if not algebra.equal(entry[0], minimum):
+                heapq.heappush(heap, entry)
                 continue
-            members_here = restricted[key]
-            moved = members_here & newly_fixed
-            if moved:
-                fixed_load[key] = fixed_load[key] + minimum * len(moved)
-                members_here -= moved
-            if members_here:
-                next_live.append(key)
-        live_links = next_live
-    else:
-        if live_links:
-            raise RuntimeError("Centralized B-Neck did not terminate")
+            position = entry[1]
+            version[position] = None
+            for session in members[position]:
+                if session.session_id not in rates:
+                    rates[session.session_id] = minimum
+                    newly_fixed.append(session)
+
+        moved = {}
+        for session in newly_fixed:
+            for link in session.links:
+                position = index_of[link.endpoints]
+                if version[position] is not None:
+                    moved[position] = moved.get(position, 0) + 1
+            position = demand_index.get(session.session_id)
+            if position is not None:
+                version[position] = None  # its one member is now fixed
+        for position, count in moved.items():
+            unfixed[position] -= count
+            if not unfixed[position]:
+                version[position] = None
+                continue
+            fixed_load[position] = fixed_load[position] + minimum * count
+            if lifted[position] is None:
+                lifted[position] = divide(capacities[position], 1)
+            version[position] += 1
+            heapq.heappush(heap, (
+                divide(lifted[position] - fixed_load[position], unfixed[position]),
+                position,
+                version[position],
+            ))
 
     for session in sessions:
         # A session crossing only unsaturated links with infinite demand cannot

@@ -9,9 +9,16 @@ a single call gives the strongest correctness statement available:
 * the distributed rates equal the oracle rates;
 * the distributed rates satisfy the bottleneck characterization of max-min
   fairness directly.
+
+The link incidence (link -> member sessions) is built once per call and handed
+to all three oracles, each of which is near-linear in the sum of path lengths.
+The oracles are called through this module's globals (``centralized_bneck``,
+``water_filling``, ``verify_allocation``), so a profiler or test can replace
+them here.
 """
 
 from repro.core.centralized import centralized_bneck
+from repro.fairness.bottleneck import link_incidence
 from repro.fairness.verification import verify_allocation
 from repro.fairness.waterfilling import water_filling
 
@@ -76,14 +83,17 @@ def validate_against_oracle(protocol, allocation=None, algebra=None):
     algebra = algebra or protocol.algebra
     sessions = protocol.active_sessions()
     distributed = allocation if allocation is not None else protocol.current_allocation()
-    centralized = centralized_bneck(sessions, algebra=algebra)
-    waterfilled = water_filling(sessions, algebra=algebra)
+    incidence = link_incidence(sessions)
+    centralized = centralized_bneck(sessions, algebra=algebra, incidence=incidence)
+    waterfilled = water_filling(sessions, algebra=algebra, incidence=incidence)
 
     matches_centralized = distributed.equals(centralized, algebra=algebra)
     matches_waterfilling = distributed.equals(waterfilled, algebra=algebra)
     oracles_agree = centralized.equals(waterfilled, algebra=algebra)
     max_relative_error = distributed.max_relative_difference(centralized)
-    violations = verify_allocation(sessions, distributed, algebra=algebra)
+    violations = verify_allocation(
+        sessions, distributed, algebra=algebra, incidence=incidence
+    )
 
     return ValidationResult(
         matches_centralized=matches_centralized,

@@ -28,6 +28,7 @@ from repro.experiments.metrics import (
     relative_errors,
 )
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
+from repro.fairness.bottleneck import analyze_bottlenecks
 from repro.network.transit_stub import LAN
 from repro.workloads.generator import infinite_demand
 from repro.workloads.scenarios import NetworkScenario
@@ -190,17 +191,21 @@ def _drive_protocol(name, runner, config):
         when = generator.random_times(1, (earliest, config.churn_window))[0]
         protocol.leave(session_id, at=max(when, earliest))
 
+    leaving = set(leavers)
     surviving = [
-        session for session_id, session in installed.items() if session_id not in set(leavers)
+        session for session_id, session in installed.items() if session_id not in leaving
     ]
     oracle = centralized_bneck(surviving)
+    # The bottleneck links of the final configuration do not depend on the
+    # sampled rates, so one analysis serves every sample.
+    analysis = analyze_bottlenecks(surviving, oracle)
 
     series = ProtocolTimeSeries(name)
     for sample_time in config.sample_times():
         runner.run_until(sample_time)
         assigned = protocol.current_allocation()
         source_errors = relative_errors(assigned, oracle)
-        link_errors = bottleneck_link_errors(surviving, assigned, oracle)
+        link_errors = bottleneck_link_errors(surviving, assigned, oracle, analysis=analysis)
         if source_errors:
             series.source_error_series.append((sample_time, error_summary(source_errors)))
         if link_errors:

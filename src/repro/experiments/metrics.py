@@ -42,15 +42,18 @@ def error_summary(errors):
     return summarize(errors)
 
 
-def bottleneck_link_errors(sessions, assigned, reference, algebra=None):
+def bottleneck_link_errors(sessions, assigned, reference, algebra=None, analysis=None):
     """Per-bottleneck-link percentage errors of the aggregate assigned rate.
 
     Bottleneck links are identified on the *reference* (max-min fair)
     allocation; for each such link the error compares the total assigned rate
-    of the crossing sessions against their total max-min rate.
+    of the crossing sessions against their total max-min rate.  ``analysis``
+    is an optional precomputed :func:`analyze_bottlenecks` of ``sessions``
+    and ``reference``, for callers that sample many assignments against one
+    reference.
     """
-    sessions = list(sessions)
-    analysis = analyze_bottlenecks(sessions, reference, algebra=algebra)
+    if analysis is None:
+        analysis = analyze_bottlenecks(sessions, reference, algebra=algebra)
     errors = []
     for link in analysis.saturated_links():
         endpoints = link.endpoints

@@ -164,6 +164,8 @@ class RunMeasurement(object):
     ``packets`` and ``rate_callbacks`` are deltas relative to the previous
     :meth:`ExperimentRunner.checkpoint` call (equal to the totals on the
     first); ``total_packets`` / ``events_processed`` are run-wide totals.
+    ``validation`` is the :class:`~repro.core.validation.ValidationResult`
+    of the checkpoint, or ``None`` when the spec does not validate.
     """
 
     __slots__ = (
@@ -175,10 +177,11 @@ class RunMeasurement(object):
         "events_processed",
         "rate_callbacks",
         "validated",
+        "validation",
     )
 
     def __init__(self, label, description, quiescence_time, packets, total_packets,
-                 events_processed, rate_callbacks, validated):
+                 events_processed, rate_callbacks, validated, validation=None):
         self.label = label
         self.description = description
         self.quiescence_time = quiescence_time
@@ -187,6 +190,7 @@ class RunMeasurement(object):
         self.events_processed = events_processed
         self.rate_callbacks = rate_callbacks
         self.validated = validated
+        self.validation = validation
 
     def as_dict(self):
         return {
@@ -301,9 +305,11 @@ class ExperimentRunner(object):
             self.apply_actions(actions)
             measurement = self.checkpoint(label)
             if not measurement.validated:
+                validation = measurement.validation
                 raise RuntimeError(
                     "allocation failed oracle validation after round %r of "
-                    "workload %r" % (label, workload.name)
+                    "workload %r: %r; first violations: %r"
+                    % (label, workload.name, validation, validation.violations[:3])
                 )
             measurements.append(measurement)
         return measurements
@@ -382,7 +388,7 @@ class ExperimentRunner(object):
         ``rate_callbacks`` count only the work since the previous checkpoint.
         """
         quiescence_time = self.run_to_quiescence()
-        validated = self.validate() if self.spec.validate else True
+        validation = validate_against_oracle(self.protocol) if self.spec.validate else None
         total_packets = self.tracer.total
         rate_callbacks = getattr(self.protocol, "rate_callbacks", 0)
         measurement = RunMeasurement(
@@ -393,7 +399,8 @@ class ExperimentRunner(object):
             total_packets=total_packets,
             events_processed=self.protocol.simulator.events_processed,
             rate_callbacks=rate_callbacks - self._callbacks_at_checkpoint,
-            validated=validated,
+            validated=validation is None or validation.valid,
+            validation=validation,
         )
         self._packets_at_checkpoint = total_packets
         self._callbacks_at_checkpoint = rate_callbacks

@@ -1,6 +1,7 @@
 """The result type of every allocation algorithm in the library."""
 
 from repro.fairness.algebra import default_algebra
+from repro.fairness.bottleneck import link_incidence
 
 
 class RateAllocation(object):
@@ -90,11 +91,7 @@ class RateAllocation(object):
             rate = float(self._rates.get(session.session_id, 0.0))
             if algebra.greater(rate, float(session.effective_demand())):
                 return False
-        links = {}
-        for session in sessions:
-            for link in session.links:
-                links.setdefault(link.endpoints, (link, []))[1].append(session)
-        for link, members in links.values():
+        for link, members in link_incidence(sessions).values():
             load = sum(
                 float(self._rates.get(session.session_id, 0.0)) for session in members
             )

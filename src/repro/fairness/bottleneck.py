@@ -26,35 +26,41 @@ def link_load(sessions, allocation, link):
     )
 
 
-def members_by_link(sessions):
-    """Index ``{link_endpoints: [session, ...]}`` over the sessions' paths.
+def link_incidence(sessions):
+    """Index ``{link_endpoints: (link, [session, ...])}`` over the sessions' paths.
 
-    Callers that run :func:`session_bottlenecks` for many sessions of the
-    same population build this once and pass it in, instead of letting every
-    call re-scan all session paths.
+    Links and their member lists are in first-seen order: the order of
+    ``sessions``, then path order.  This is the library's one link-membership
+    index; callers that run several oracles or many
+    :func:`session_bottlenecks` calls over one population build it once and
+    pass it in.
     """
     index = {}
     for session in sessions:
         for link in session.links:
-            index.setdefault(link.endpoints, []).append(session)
+            entry = index.get(link.endpoints)
+            if entry is None:
+                index[link.endpoints] = (link, [session])
+            else:
+                entry[1].append(session)
     return index
 
 
-def session_bottlenecks(session, sessions, allocation, algebra=None, link_members=None):
+def session_bottlenecks(session, sessions, allocation, algebra=None, incidence=None):
     """Return the links of ``session`` that are bottlenecks of it.
 
     Args:
-        link_members: optional precomputed :func:`members_by_link` index for
+        incidence: optional precomputed :func:`link_incidence` of
             ``sessions``; it is rebuilt per call when omitted.
     """
     algebra = algebra or default_algebra()
-    sessions = list(sessions)
-    if link_members is None:
-        link_members = members_by_link(sessions)
+    if incidence is None:
+        incidence = link_incidence(sessions)
     own_rate = float(allocation.get(session.session_id, 0.0))
     result = []
     for link in session.links:
-        crossing = link_members.get(link.endpoints, ())
+        entry = incidence.get(link.endpoints)
+        crossing = entry[1] if entry is not None else ()
         load = sum(float(allocation.get(other.session_id, 0.0)) for other in crossing)
         if not algebra.equal(load, link.capacity):
             continue
@@ -119,20 +125,15 @@ def analyze_bottlenecks(sessions, allocation, algebra=None):
     """
     algebra = algebra or default_algebra()
     sessions = list(sessions)
-
-    links = {}
-    for session in sessions:
-        for link in session.links:
-            links[link.endpoints] = link
-    link_members = members_by_link(sessions)
+    incidence = link_incidence(sessions)
+    links = {endpoints: link for endpoints, (link, _) in incidence.items()}
 
     restricted = {}
     unrestricted = {}
     bottleneck_rate = {}
     bottleneck_links_of = {session.session_id: [] for session in sessions}
 
-    for endpoints, link in links.items():
-        members = link_members[endpoints]
+    for endpoints, (link, members) in incidence.items():
         load = sum(float(allocation.get(s.session_id, 0.0)) for s in members)
         saturated = algebra.equal(load, link.capacity)
         if not saturated:

@@ -10,9 +10,15 @@ feasible allocation is max-min fair iff every session either
 This check is independent of *any* allocation algorithm in the library, which
 makes it the strongest oracle available to the property-based tests: both
 water-filling and (centralized/distributed) B-Neck results must pass it.
+
+It makes one pass over the link incidence: each link's load, saturation and
+largest member rate are computed once, so a session has a bottleneck iff one
+of its path links is saturated and has no member rate above its own.  Rates
+are compared as floats, as everywhere in the fairness layer.
 """
 
 from repro.fairness.algebra import default_algebra
+from repro.fairness.bottleneck import link_incidence
 
 
 class MaxMinViolation(object):
@@ -29,7 +35,7 @@ class MaxMinViolation(object):
         return "MaxMinViolation(%s, %r, %s)" % (self.kind, self.subject, self.detail)
 
 
-def verify_allocation(sessions, allocation, algebra=None):
+def verify_allocation(sessions, allocation, algebra=None, incidence=None):
     """Return the list of :class:`MaxMinViolation` for an allocation.
 
     An empty list means the allocation is max-min fair (and feasible).
@@ -53,18 +59,19 @@ def verify_allocation(sessions, allocation, algebra=None):
     if violations:
         return violations
 
-    # Feasibility on links.  The per-link member lists and saturation flags
-    # computed here are reused by the per-session bottleneck checks below, so
-    # the common case (every session demand-limited or quickly matched to a
-    # bottleneck) avoids any per-session rescan of the full population.
-    links = {}
-    for session in sessions:
-        for link in session.links:
-            links.setdefault(link.endpoints, (link, []))[1].append(session)
+    # Feasibility on links, and each link's saturation and largest member
+    # rate, computed once: the per-session bottleneck checks below then cost
+    # one test per path link.
+    if incidence is None:
+        incidence = link_incidence(sessions)
+    rate_of = {s.session_id: float(allocation.rate(s.session_id)) for s in sessions}
     saturated = {}
-    for endpoints, (link, members) in links.items():
-        load = sum(float(allocation.rate(s.session_id)) for s in members)
+    largest = {}
+    for endpoints, (link, members) in incidence.items():
+        member_rates = [rate_of[s.session_id] for s in members]
+        load = sum(member_rates)
         saturated[endpoints] = algebra.equal(load, link.capacity)
+        largest[endpoints] = max(member_rates)
         if algebra.greater(load, link.capacity):
             violations.append(
                 MaxMinViolation(
@@ -76,7 +83,7 @@ def verify_allocation(sessions, allocation, algebra=None):
 
     # Per-session conditions.
     for session in sessions:
-        rate = float(allocation.rate(session.session_id))
+        rate = rate_of[session.session_id]
         demand = float(session.effective_demand())
         if algebra.greater(rate, demand):
             violations.append(
@@ -89,17 +96,23 @@ def verify_allocation(sessions, allocation, algebra=None):
             continue
         if algebra.equal(rate, demand):
             continue
-        # Definition 1, specialized to an existence test (mirrors
-        # fairness.bottleneck.session_bottlenecks -- keep the two in sync).
+        # Definition 1 as an existence test: a saturated path link with no
+        # member rate above this one.  Testing the largest member rate decides
+        # "every member rate is <= this one" because ``less_equal(x, rate)`` is
+        # monotone in ``x`` for non-negative rates.  ExactAlgebra: it is the
+        # exact order.  FloatAlgebra: let ``x' <= x`` and
+        # ``less_equal(x, rate)``.  If ``x' <= rate`` it holds plainly.  Else
+        # ``rate < x' <= x`` and ``x`` was accepted as close:
+        # ``x - rate <= max(rel * x, rel * rate, abs)``.  The gap
+        # ``x' - rate`` is smaller, and where ``rel * x`` bounded the gap,
+        # ``rate >= (1 - rel) * x >= (1 - rel) * x'``, so ``rel * x'`` bounds
+        # it too; so ``x'`` is accepted.  Rounding keeps this: close floats
+        # subtract exactly (Sterbenz's lemma), and the rounded ``rel * x``
+        # exceeds the rounded ``rel * x'`` by less than ``x - x'``.
         has_bottleneck = False
         for link in session.links:
             endpoints = link.endpoints
-            if not saturated[endpoints]:
-                continue
-            if all(
-                algebra.less_equal(float(allocation.rate(other.session_id)), rate)
-                for other in links[endpoints][1]
-            ):
+            if saturated[endpoints] and algebra.less_equal(largest[endpoints], rate):
                 has_bottleneck = True
                 break
         if not has_bottleneck:

@@ -2,22 +2,35 @@
 
 This is the textbook algorithm of Bertsekas & Gallager that the paper cites as
 "the Water-Filling algorithm [6], [18]" and uses to validate every B-Neck run.
-It is intentionally implemented differently from the Centralized B-Neck of
-Figure 1 (which discovers bottlenecks in increasing rate order) so that the two
-serve as independent oracles for each other in the test suite.
 
-The algorithm: grow the rate of every unfrozen session at the same pace; a
-session freezes when one of its links saturates or when it reaches its own
-maximum requested rate.  Repeat until every session is frozen.
+The algorithm: raise one common water level, the rate of every unfrozen
+session; a session freezes when one of its links saturates or when the level
+reaches its own maximum requested rate.  Each link keeps the load of its
+frozen sessions and its count of unfrozen ones, so it saturates at level
+``(C_e - frozen load) / unfrozen``; a heap holds those levels, and finite
+demands are a sorted list.  The next level is the smaller of the heap top and
+the next demand, and only links that share a session frozen at that level are
+re-keyed, so a run costs ``O(sum of path lengths * log #links)``.
+
+It stays independent of Centralized B-Neck (:mod:`repro.core.centralized`),
+so the two oracles check each other:
+
+* a link saturates when its *load* reaches its capacity under the algebra
+  (``frozen load + unfrozen * level >= C_e``), whereas Centralized B-Neck
+  groups links whose *estimates* the algebra calls equal to the minimal one;
+* a demand is an event on the water level, whereas Centralized B-Neck turns
+  it into a virtual link of the modified system.
 """
 
+import heapq
 import math
 
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
+from repro.fairness.bottleneck import link_incidence
 
 
-def water_filling(sessions, algebra=None):
+def water_filling(sessions, algebra=None, incidence=None):
     """Compute the max-min fair allocation of ``sessions``.
 
     Args:
@@ -25,6 +38,8 @@ def water_filling(sessions, algebra=None):
             session's path links carry the capacities; each session's
             ``effective_demand()`` bounds its rate.
         algebra: optional :class:`~repro.fairness.algebra.RateAlgebra`.
+        incidence: optional :func:`~repro.fairness.bottleneck.link_incidence`
+            of ``sessions``, built here when omitted.
 
     Returns:
         A :class:`~repro.fairness.allocation.RateAllocation` with one entry per
@@ -35,101 +50,110 @@ def water_filling(sessions, algebra=None):
     allocation = RateAllocation(algebra=algebra)
     if not sessions:
         return allocation
+    if incidence is None:
+        incidence = link_incidence(sessions)
 
-    # Rates start at integer zero so that, under the exact algebra, every
+    divide = algebra.divide
+    greater_equal = algebra.greater_equal
+    index_of = {endpoints: position for position, endpoints in enumerate(incidence)}
+    capacities = [link.capacity for link, _ in incidence.values()]
+    members = [crossing for _, crossing in incidence.values()]
+    active = [len(crossing) for crossing in members]
+    # Loads start at integer zero so that, under the exact algebra, every
     # arithmetic step stays rational (int + Fraction is a Fraction, whereas
     # float + Fraction falls back to float).
-    rates = {session.session_id: 0 for session in sessions}
-    frozen = set()
+    frozen_load = [0] * len(capacities)
+    # Capacities lifted into the algebra's number type, so the subtraction
+    # stays exact under ExactAlgebra; only links that are re-keyed need it.
+    lifted = [None] * len(capacities)
+    # A heap entry is current while its version is the link's; a link with
+    # no unfrozen member has version None.
+    version = [0] * len(capacities)
+    heap = [
+        (divide(capacity, count), position, 0)
+        for position, (capacity, count) in enumerate(zip(capacities, active))
+    ]
+    heapq.heapify(heap)
+    demands = sorted(
+        (session.effective_demand(), order, session)
+        for order, session in enumerate(sessions)
+        if not math.isinf(session.effective_demand())
+    )
+    next_demand = 0
+    # A saturated link's level is within the load test's tolerance of the
+    # water level: at most the algebra's equality gap at the largest capacity
+    # (the gap in load divided by the link's unfrozen count, at least 1).
+    # Twice that gap also covers the rounding of the two sides.
+    largest = max(capacities)
+    reach = 2 * (algebra.equal_window(largest)[1] - largest)
 
-    # Index sessions by link once; capacities are lifted into the algebra's
-    # number type so divisions chain exactly under ExactAlgebra.
-    link_members = {}
-    link_objects = {}
-    link_capacity = {}
-    for session in sessions:
+    rates = {}
+    level = 0
+
+    def freeze(session, rate, touched):
+        rates[session.session_id] = rate
         for link in session.links:
-            link_objects[link.endpoints] = link
-            link_capacity[link.endpoints] = algebra.divide(link.capacity, 1)
-            link_members.setdefault(link.endpoints, []).append(session)
+            position = index_of[link.endpoints]
+            frozen_load[position] = frozen_load[position] + rate
+            active[position] -= 1
+            touched[position] = None
 
-    # Per-link bookkeeping maintained incrementally as rates grow and
-    # sessions freeze, so a round costs O(links + unfrozen) instead of
-    # O(links x members):
-    #
-    # * ``active_counts[e]``: unfrozen members of ``e``;
-    # * ``loads[e]``: total allocated rate crossing ``e``.  It tracks every
-    #   rate change exactly (the uniform increment contributes
-    #   ``increment * active_count``; demand clamps contribute their delta),
-    #   so it only deviates from a from-scratch sum by accumulated rounding
-    #   noise, orders of magnitude below the algebra's tolerance.
-    active_counts = {ep: len(members) for ep, members in link_members.items()}
-    loads = {ep: 0 for ep in link_members}
-    path_keys = {s.session_id: [link.endpoints for link in s.links] for s in sessions}
-    demands = {s.session_id: s.effective_demand() for s in sessions}
-
-    def freeze(session_id):
-        frozen.add(session_id)
-        for endpoints in path_keys[session_id]:
-            active_counts[endpoints] -= 1
-
-    max_iterations = len(sessions) + len(link_objects) + 1
-    for _ in range(max_iterations):
-        unfrozen = [session for session in sessions if session.session_id not in frozen]
-        if not unfrozen:
+    for _ in range(len(sessions) + len(capacities) + 1):
+        if len(rates) == len(sessions):
             break
+        while version[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)
+        while next_demand < len(demands) and demands[next_demand][2].session_id in rates:
+            next_demand += 1
+        target = heap[0][0]
+        if next_demand < len(demands) and demands[next_demand][0] < target:
+            target = divide(demands[next_demand][0], 1)
+        if target > level:
+            level = target
 
-        # The common rate increment is limited by the tightest link headroom
-        # share and by the closest per-session demand.
-        increment = math.inf
-        for endpoints, active_count in active_counts.items():
-            if not active_count:
+        touched = {}
+        # Sessions that reach their demand, clamped to it.
+        while next_demand < len(demands) and greater_equal(level, demands[next_demand][0]):
+            demand, _, session = demands[next_demand]
+            if session.session_id not in rates:
+                freeze(session, min(level, demand), touched)
+            next_demand += 1
+
+        # Links whose load reaches their capacity: every candidate is tested
+        # before any of their members freezes.
+        candidates = []
+        while heap and heap[0][0] - level <= reach:
+            entry = heapq.heappop(heap)
+            if version[entry[1]] == entry[2]:
+                candidates.append(entry)
+        saturated = []
+        for entry in candidates:
+            position = entry[1]
+            if active[position] and greater_equal(
+                frozen_load[position] + active[position] * level, capacities[position]
+            ):
+                saturated.append(position)
+            else:
+                heapq.heappush(heap, entry)
+        for position in saturated:
+            for session in members[position]:
+                if session.session_id not in rates:
+                    freeze(session, level, touched)
+
+        for position in touched:
+            if not active[position]:
+                version[position] = None
                 continue
-            headroom = link_capacity[endpoints] - loads[endpoints]
-            if headroom < 0:
-                headroom = 0
-            share = algebra.divide(headroom, active_count)
-            if algebra.less(share, increment):
-                increment = share
-        for session in unfrozen:
-            remaining_demand = demands[session.session_id] - rates[session.session_id]
-            if algebra.less(remaining_demand, increment):
-                increment = remaining_demand
-
-        if math.isinf(increment):
-            # No link constrains any unfrozen session and all demands are
-            # infinite; this cannot happen for sessions routed over real links.
-            raise RuntimeError("water-filling diverged: unconstrained sessions remain")
-
-        if increment > 0:
-            for session in unfrozen:
-                rates[session.session_id] += increment
-            for endpoints, active_count in active_counts.items():
-                if active_count:
-                    loads[endpoints] += increment * active_count
-
-        # Freeze sessions that hit their demand.
-        for session in unfrozen:
-            session_id = session.session_id
-            if algebra.greater_equal(rates[session_id], demands[session_id]):
-                clamped = min(rates[session_id], demands[session_id])
-                if clamped != rates[session_id]:
-                    delta = clamped - rates[session_id]
-                    for endpoints in path_keys[session_id]:
-                        loads[endpoints] += delta
-                    rates[session_id] = clamped
-                freeze(session_id)
-
-        # Freeze sessions crossing a saturated link.
-        for endpoints, members in link_members.items():
-            if not active_counts[endpoints]:
-                continue
-            if algebra.greater_equal(loads[endpoints], link_capacity[endpoints]):
-                for member in members:
-                    if member.session_id not in frozen:
-                        freeze(member.session_id)
+            if lifted[position] is None:
+                lifted[position] = divide(capacities[position], 1)
+            version[position] += 1
+            heapq.heappush(heap, (
+                divide(lifted[position] - frozen_load[position], active[position]),
+                position,
+                version[position],
+            ))
     else:
-        remaining = [s.session_id for s in sessions if s.session_id not in frozen]
+        remaining = [s.session_id for s in sessions if s.session_id not in rates]
         if remaining:
             raise RuntimeError(
                 "water-filling did not converge; %d sessions left: %r"

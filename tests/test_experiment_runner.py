@@ -134,3 +134,31 @@ class TestExperimentRunner(object):
         runner.populate(5)
         measurement = runner.checkpoint()
         assert measurement.validated  # reported true, but not computed
+        assert measurement.validation is None
+
+    def test_checkpoint_keeps_the_validation_result(self):
+        runner = ExperimentRunner(ScenarioSpec(size="small", seed=2), generator_seed=22)
+        runner.populate(10, join_window=(0.0, 1e-3))
+        measurement = runner.checkpoint()
+        assert measurement.validation.valid
+        assert measurement.validation.violations == []
+
+    def test_failed_validation_names_the_violation_and_the_session(self, monkeypatch):
+        spec = ScenarioSpec(size="small", delay_model="lan", seed=11)
+        with ExperimentRunner(spec) as runner:
+            protocol = runner.protocol
+            exact_allocation = protocol.current_allocation
+
+            def perturbed_allocation():
+                allocation = exact_allocation()
+                victim = protocol.active_sessions()[0].session_id
+                allocation.set_rate(victim, allocation.rate(victim) * 0.9)
+                return allocation
+
+            monkeypatch.setattr(protocol, "current_allocation", perturbed_allocation)
+            with pytest.raises(RuntimeError) as failure:
+                runner.run_scenario("poisson-churn", segments=1)
+            victim = protocol.active_sessions()[0].session_id
+        message = str(failure.value)
+        assert "ValidationResult(valid=False" in message
+        assert "MaxMinViolation(no-bottleneck, %r" % (victim,) in message
