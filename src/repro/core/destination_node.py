@@ -31,12 +31,13 @@ class DestinationNodeTask(Process):
         self.session_id = session.session_id
         # The destination sits past the last link of the path.
         self.link_id = ("destination", session.session_id)
+        self.prev_stage = None  # set when the protocol wires the session
         self.closed_probe_cycles = 0
         self.no_bottleneck_updates = 0
         self.left = False
 
     def _send_upstream(self, packet):
-        self.protocol.forward_upstream(self.link_id, packet)
+        self.protocol.forward_upstream(self, packet)
 
     # Packet-type -> unbound handler, built once at class definition time (see
     # the assignment below the handler definitions).

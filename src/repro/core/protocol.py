@@ -7,9 +7,12 @@ network and a discrete-event simulator:
   directed link crossed by some session, one
   :class:`~repro.core.source_node.SourceNodeTask` and one
   :class:`~repro.core.destination_node.DestinationNodeTask` per session;
-* it routes packets hop by hop along session paths (downstream) and reverse
-  paths (upstream), applying each link's control-packet delay and accounting
-  every transmission in a :class:`~repro.simulator.tracing.PacketTracer`;
+* it wires each session's stages to their neighbours along the path
+  (``next_stage``/``prev_stage``) and moves packets between them, downstream
+  across the sender's own link and upstream across the reverse of the
+  receiver's own link, applying that link's control-packet delay and
+  accounting every transmission in a
+  :class:`~repro.simulator.tracing.PacketTracer`;
 * it exposes the session API (``join`` / ``leave`` / ``change``), records every
   ``API.Rate`` notification, and provides quiescence and allocation helpers
   used by the experiments and tests.
@@ -58,27 +61,6 @@ DOWNSTREAM = "downstream"
 UPSTREAM = "upstream"
 
 
-class _SessionWiring(object):
-    """Per-session forwarding table: ordered protocol stages, path links, the
-    reverse of each path link (what upstream packets cross) and the control
-    delay of each, by position along the path."""
-
-    __slots__ = ("stages", "links", "reverse_links", "down_delays", "up_delays",
-                 "index_by_key")
-
-    def __init__(self, session, stages, links, reverse_links):
-        self.stages = stages
-        self.links = links
-        self.reverse_links = reverse_links
-        self.down_delays = [link.control_delay() for link in links]
-        self.up_delays = [link.control_delay() for link in reverse_links]
-        # Stage 0 (the source) is addressed by the access link it owns; stages
-        # 1..k by the link their RouterLink controls; the destination by a
-        # dedicated key.
-        self.index_by_key = {link.endpoints: position for position, link in enumerate(links)}
-        self.index_by_key[("destination", session.session_id)] = len(links)
-
-
 class BNeckProtocol(object):
     """B-Neck running over a network on a discrete-event simulator.
 
@@ -115,7 +97,6 @@ class BNeckProtocol(object):
         self._sources = {}
         self._destinations = {}
         self._applications = {}
-        self._wirings = {}
         self._sessions = {}
         self._last_rate = {}
         self.notification_log = make_notification_log(notification_log)
@@ -185,27 +166,31 @@ class BNeckProtocol(object):
         Returns the :class:`~repro.core.api.SessionApplication` that will
         receive the session's ``API.Rate`` notifications.
         """
-        if session.session_id in self._sessions:
-            raise ValueError("session %r already joined" % session.session_id)
-        # Upstream packets cross these; a missing reverse link fails here.
+        session_id = session.session_id
+        if session_id in self._sessions:
+            raise ValueError("session %r already joined" % session_id)
+        # Upstream packets cross these; a missing reverse link fails here,
+        # before anything is created or wired.
         reverse_links = [self.network.reverse_link(link) for link in session.links]
         if application is None:
-            application = SessionApplication(session.session_id, session.demand)
-        self._sessions[session.session_id] = session
-        self._applications[session.session_id] = application
+            application = SessionApplication(session_id, session.demand)
+        self._sessions[session_id] = session
+        self._applications[session_id] = application
 
-        source = SourceNodeTask(self.simulator, self, session, self.algebra)
+        source = SourceNodeTask(self.simulator, self, session, reverse_links[0], self.algebra)
         destination = DestinationNodeTask(self.simulator, self, session)
-        self._sources[session.session_id] = source
-        self._destinations[session.session_id] = destination
+        self._sources[session_id] = source
+        self._destinations[session_id] = destination
 
         stages = [source]
-        for link in session.transit_links:
-            stages.append(self._router_link_for(link))
+        for link, reverse_link in zip(session.transit_links, reverse_links[1:]):
+            stages.append(self._router_link_for(link, reverse_link))
         stages.append(destination)
-        self._wirings[session.session_id] = _SessionWiring(
-            session, stages, session.links, reverse_links
-        )
+        source.next_stage = stages[1]
+        destination.prev_stage = stages[-2]
+        for previous, router_link, following in zip(stages, stages[1:-1], stages[2:]):
+            router_link.prev_stage[session_id] = previous
+            router_link.next_stage[session_id] = following
 
         def activate():
             self.registry.add(session)
@@ -312,46 +297,43 @@ class BNeckProtocol(object):
         else:
             self.simulator.schedule_at(at, callback, tag=tag)
 
-    def _router_link_for(self, link):
+    def _router_link_for(self, link, reverse_link):
         key = link.endpoints
         if key not in self._router_links:
-            self._router_links[key] = RouterLinkTask(self.simulator, self, link, self.algebra)
+            self._router_links[key] = RouterLinkTask(
+                self.simulator, self, link, reverse_link, self.algebra
+            )
         return self._router_links[key]
 
     # ---------------------------------------------------------------- forwarding
 
-    def forward_downstream(self, link_id, packet):
-        """Deliver ``packet`` to the next stage of its session's path."""
-        wiring = self._wirings[packet.session_id]
-        index = wiring.index_by_key[link_id]
+    # A RouterLink's neighbours are dicts keyed by session id (the packet's
+    # session picks one, also for an Update/Bottleneck it sends for another
+    # session); a source or destination keeps its single neighbour.
+
+    def forward_downstream(self, stage, packet):
+        """Deliver ``packet`` from ``stage`` to the next stage of its session's
+        path, across ``stage``'s own link."""
+        receiver = stage.next_stage
+        if receiver.__class__ is dict:
+            receiver = receiver[packet.session_id]
         type_name = packet.type_name
         if self._trace_packets:
             self._tracer.record(self.simulator.now, type_name, packet.session_id,
-                                wiring.links[index].endpoints, DOWNSTREAM)
-        self.simulator.schedule_delivery(
-            wiring.down_delays[index], wiring.stages[index + 1].receive, packet, type_name
-        )
+                                stage.link_id, DOWNSTREAM)
+        self.simulator.schedule_delivery(stage.down_delay, receiver.receive, packet, type_name)
 
-    def forward_upstream(self, link_id, packet):
-        """Deliver ``packet`` to the previous stage of its session's path
-        (the destination sends from its key ``("destination", session_id)``)."""
-        wiring = self._wirings[packet.session_id]
-        index = wiring.index_by_key[link_id] - 1
-        if index < 0:
-            # The source is the first stage; nothing lies upstream of it.
-            return
+    def forward_upstream(self, stage, packet):
+        """Deliver ``packet`` from ``stage`` to the previous stage of its
+        session's path, across the reverse of that stage's own link."""
+        receiver = stage.prev_stage
+        if receiver.__class__ is dict:
+            receiver = receiver[packet.session_id]
         type_name = packet.type_name
         if self._trace_packets:
             self._tracer.record(self.simulator.now, type_name, packet.session_id,
-                                wiring.reverse_links[index].endpoints, UPSTREAM)
-        self.simulator.schedule_delivery(
-            wiring.up_delays[index], wiring.stages[index].receive, packet, type_name
-        )
-
-    # A RouterLink that originates an Update/Bottleneck for *another* session
-    # uses the same routing logic: the packet starts at this link's position in
-    # that session's path and travels towards that session's source.
-    send_upstream_from = forward_upstream
+                                receiver.up_link_id, UPSTREAM)
+        self.simulator.schedule_delivery(receiver.up_delay, receiver.receive, packet, type_name)
 
     # --------------------------------------------------------------- API.Rate
 

@@ -7,8 +7,9 @@ transcription of Figure 2, with two presentational differences:
 * rate comparisons go through the configured
   :class:`~repro.fairness.algebra.RateAlgebra` instead of raw ``==``/``<``;
 * packet forwarding is delegated to the protocol orchestrator
-  (:class:`~repro.core.protocol.BNeckProtocol`), which knows each session's
-  path and the per-hop link delays.
+  (:class:`~repro.core.protocol.BNeckProtocol`), which wires each session's
+  neighbours into ``next_stage``/``prev_stage`` at join time and moves the
+  packet across the link.
 
 The figure's scans over ``R_e`` and ``F_e`` ("every F_e rate not below
 ``B_e``", "every IDLE R_e session at ``B_e``") are window queries on the
@@ -56,11 +57,19 @@ def _equal_to(index, value, algebra):
 class RouterLinkTask(Process):
     """Runs the B-Neck link algorithm for one directed link."""
 
-    def __init__(self, simulator, protocol, link, algebra):
+    def __init__(self, simulator, protocol, link, reverse_link, algebra):
         super(RouterLinkTask, self).__init__(simulator, "RL(%s->%s)" % link.endpoints)
         self.protocol = protocol
         self.link = link
         self.link_id = link.endpoints
+        # Downstream packets leave across this link; upstream ones arrive
+        # across its reverse.
+        self.down_delay = link.control_delay()
+        self.up_link_id = reverse_link.endpoints
+        self.up_delay = reverse_link.control_delay()
+        # Session id -> the neighbouring stage of that session's path.
+        self.next_stage = {}
+        self.prev_stage = {}
         self.state = LinkState(self.link_id, link.capacity, algebra)
         self.algebra = algebra
 
@@ -80,18 +89,18 @@ class RouterLinkTask(Process):
     # ----------------------------------------------------- downstream helpers
 
     def _send_downstream(self, packet):
-        self.protocol.forward_downstream(self.link_id, packet)
+        self.protocol.forward_downstream(self, packet)
 
     def _send_upstream(self, packet):
-        self.protocol.forward_upstream(self.link_id, packet)
+        self.protocol.forward_upstream(self, packet)
 
     def _send_upstream_update(self, session_id):
         """Send an Update for *another* session towards its own source."""
-        self.protocol.send_upstream_from(self.link_id, Update(session_id))
+        self.protocol.forward_upstream(self, Update(session_id))
 
     def _send_upstream_bottleneck(self, session_id):
         """Send a Bottleneck for *another* session towards its own source."""
-        self.protocol.send_upstream_from(self.link_id, Bottleneck(session_id))
+        self.protocol.forward_upstream(self, Bottleneck(session_id))
 
     # -------------------------------------------------- ProcessNewRestricted
 
@@ -107,7 +116,7 @@ class RouterLinkTask(Process):
         algebra = self.algebra
         free = state.free_rated
         while free:
-            rate = state.bottleneck_rate()
+            rate = state.bottleneck
             start, stop = rate_window(free, *algebra.equal_window(rate))
             if stop < len(free):
                 # Above the window every rate is greater than B_e.
@@ -128,7 +137,7 @@ class RouterLinkTask(Process):
         idle = state.idle_rated
         if not idle:
             return
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         start, stop = rate_window(idle, *algebra.equal_window(rate))
         greater = algebra.greater
         woken = [
@@ -149,7 +158,7 @@ class RouterLinkTask(Process):
         state.add_restricted(packet.session_id)
         state.set_state(packet.session_id, WAITING_RESPONSE)
         self.process_new_restricted()
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         forwarded_rate = packet.rate
         forwarded_eta = packet.restricting_link
         if self.algebra.greater(forwarded_rate, rate):
@@ -164,7 +173,7 @@ class RouterLinkTask(Process):
         if packet.session_id in state.unrestricted:
             state.add_restricted(packet.session_id)
         self.process_new_restricted()
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         forwarded_rate = packet.rate
         forwarded_eta = packet.restricting_link
         if self.algebra.greater(forwarded_rate, rate):
@@ -183,7 +192,7 @@ class RouterLinkTask(Process):
         if tau == UPDATE:
             state.set_state(session_id, WAITING_PROBE)
         else:
-            local_rate = state.bottleneck_rate()
+            local_rate = state.bottleneck
             restricted_here = eta == self.link_id
             accepted = (
                 restricted_here and self.algebra.equal(rate, local_rate)
@@ -225,7 +234,7 @@ class RouterLinkTask(Process):
         """Figure 2, lines 45-55."""
         state = self.state
         session_id = packet.session_id
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         recorded = state.rate_of(session_id)
 
         if state.all_restricted_settled():
@@ -296,7 +305,7 @@ class RouterLinkTask(Process):
                 victim = _equal_to(free, free[-1][0], self.algebra)[0]
                 state.add_restricted(victim)
         self.process_new_restricted()
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         idle = state.idle_rated
         start, stop = rate_window(idle, *self.algebra.equal_window(rate))
         equal = self.algebra.equal
@@ -322,7 +331,7 @@ class RouterLinkTask(Process):
         """Figure 2, lines 57-62."""
         state = self.state
         session_id = packet.session_id
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         to_update = [
             other_id
             for other_id in _equal_to(state.idle_rated, rate, self.algebra)

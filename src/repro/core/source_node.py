@@ -31,13 +31,19 @@ from repro.simulator.process import Process
 class SourceNodeTask(Process):
     """Runs the B-Neck source algorithm for one session."""
 
-    def __init__(self, simulator, protocol, session, algebra):
+    def __init__(self, simulator, protocol, session, reverse_link, algebra):
         super(SourceNodeTask, self).__init__(simulator, "SN(%s)" % session.session_id)
         self.protocol = protocol
         self.session = session
         self.session_id = session.session_id
         self.access_link = session.access_link
         self.link_id = self.access_link.endpoints
+        # Downstream packets leave across the access link; upstream ones
+        # arrive across its reverse (``reverse_link``).
+        self.down_delay = self.access_link.control_delay()
+        self.up_link_id = reverse_link.endpoints
+        self.up_delay = reverse_link.control_delay()
+        self.next_stage = None  # set when the protocol wires the session
         self.state = LinkState(self.link_id, self.access_link.capacity, algebra)
         self.algebra = algebra
         self.demand = None                # D_s
@@ -65,7 +71,7 @@ class SourceNodeTask(Process):
     # ------------------------------------------------------------- forwarding
 
     def _send_downstream(self, packet):
-        self.protocol.forward_downstream(self.link_id, packet)
+        self.protocol.forward_downstream(self, packet)
 
     # ----------------------------------------------------------- API handlers
 

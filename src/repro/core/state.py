@@ -7,7 +7,8 @@ For every link ``e`` the protocol keeps (Section III-C):
 * per session ``s``: its state ``mu^e_s`` in {IDLE, WAITING_PROBE,
   WAITING_RESPONSE} and its recorded rate ``lambda^e_s`` (meaningful only when
   ``s`` is in ``F_e``, or in ``R_e`` with ``mu^e_s = IDLE``);
-* the bottleneck-rate estimate ``B_e = (C_e - sum of F_e rates) / |R_e|``.
+* the bottleneck-rate estimate ``B_e = (C_e - sum of F_e rates) / |R_e|``,
+  kept in the ``bottleneck`` attribute.
 
 Two sorted indexes of ``(rate, session_id)`` tuples let the RouterLink task
 answer its threshold questions ("which F_e rates reach ``B_e``?", "which
@@ -17,12 +18,14 @@ settled sessions sit at ``B_e``?") by bisecting instead of rescanning:
   implicit default) and which has a recorded rate;
 * ``free_rated`` -- every ``F_e`` member with a recorded rate.
 
-Both indexes, and the running sum of the ``F_e`` rates behind ``B_e``, are
-derived from ``R_e``/``F_e``/``mu``/``lambda``.  They stay in sync only if
-every change goes through the mutation methods (``set_state``, ``set_rate``,
-``add_restricted``, ``add_unrestricted``, ``forget``): each removes the
-session's index entry before it changes anything and re-derives it after.
-Never mutate ``restricted``/``unrestricted`` or the private maps directly.
+Both indexes, the running sum of the ``F_e`` rates and ``bottleneck`` are
+derived from ``C_e``/``R_e``/``F_e``/``mu``/``lambda``.  They stay in sync
+only if every change goes through the mutation methods (``set_state``,
+``set_rate``, ``add_restricted``, ``add_unrestricted``, ``forget``,
+``set_capacity``): each removes the session's index entry before it changes
+anything and re-derives it after, and each one that can move ``B_e``
+recomputes it.  Never mutate ``capacity``, ``restricted``/``unrestricted``
+or the private maps directly.
 Recorded rates must be comparable numbers (no NaN), or sorted order breaks;
 the session API rejects NaN demands, the only outside source of rates.
 
@@ -77,10 +80,14 @@ class LinkState(object):
         self.unrestricted = set()      # F_e
         self._mu = {}                  # session id -> mu^e_s
         self._rate = {}                # session id -> lambda^e_s
-        # Incrementally maintained sum of the F_e rates, so bottleneck_rate()
-        # is O(1).  Starts at integer zero so exact (Fraction-valued)
-        # algebras stay exact.
+        # Incrementally maintained sum of the F_e rates behind B_e.  Starts at
+        # integer zero so exact (Fraction-valued) algebras stay exact.
         self._unrestricted_load = 0
+        # B_e is read on nearly every packet, while C_e, |R_e| and the F_e
+        # load change far less often, so the mutations that move them
+        # recompute it (_refresh_bottleneck).  Infinite while R_e is empty:
+        # the link restricts nobody.
+        self.bottleneck = math.inf
         # Sorted (rate, session_id) indexes; see the module docstring.
         self.idle_rated = []
         self.free_rated = []
@@ -105,13 +112,6 @@ class LinkState(object):
 
     def is_idle(self, session_id):
         return self.state_of(session_id) == IDLE
-
-    def bottleneck_rate(self):
-        """``B_e``; infinite when ``R_e`` is empty (the link restricts nobody)."""
-        if not self.restricted:
-            return math.inf
-        remaining = self.capacity - self._unrestricted_load
-        return self.algebra.divide(remaining, len(self.restricted))
 
     def unrestricted_load(self):
         """The maintained sum of the ``F_e`` rates (unknown rates count as 0)."""
@@ -180,19 +180,20 @@ class LinkState(object):
         mu[session_id] = state
 
     def set_capacity(self, capacity):
-        """Change ``C_e`` (link-capacity dynamics); ``B_e`` follows on its own
-        since :meth:`bottleneck_rate` recomputes from the stored capacity."""
+        """Change ``C_e`` (link-capacity dynamics)."""
         if capacity <= 0 or not math.isfinite(capacity):
             raise ValueError(
                 "link capacity must be positive and finite, got %r" % (capacity,)
             )
         self.capacity = capacity
+        self._refresh_bottleneck()
 
     def set_rate(self, session_id, rate):
         self._unindex(session_id)
         if session_id in self.unrestricted:
             old = self._rate.get(session_id, 0)
             self._unrestricted_load = self._unrestricted_load - old + rate
+            self._refresh_bottleneck()
         self._rate[session_id] = rate
         self._reindex(session_id)
 
@@ -203,6 +204,7 @@ class LinkState(object):
             self.unrestricted.remove(session_id)
             self._drop_unrestricted_rate(session_id)
         self.restricted.add(session_id)
+        self._refresh_bottleneck()
         self._reindex(session_id)
 
     def add_unrestricted(self, session_id):
@@ -212,6 +214,7 @@ class LinkState(object):
         if session_id not in self.unrestricted:
             self.unrestricted.add(session_id)
             self._unrestricted_load += self._rate.get(session_id, 0)
+        self._refresh_bottleneck()
         self._reindex(session_id)
 
     def forget(self, session_id):
@@ -221,6 +224,7 @@ class LinkState(object):
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
             self._drop_unrestricted_rate(session_id)
+        self._refresh_bottleneck()
         self._mu.pop(session_id, None)
         self._rate.pop(session_id, None)
 
@@ -231,6 +235,14 @@ class LinkState(object):
             # Re-anchor the running sum whenever F_e empties, so rounding
             # residue from long add/remove histories cannot accumulate.
             self._unrestricted_load = 0
+
+    def _refresh_bottleneck(self):
+        """Recompute ``B_e`` after ``C_e``, ``|R_e|`` or the F_e load moved."""
+        if self.restricted:
+            remaining = self.capacity - self._unrestricted_load
+            self.bottleneck = self.algebra.divide(remaining, len(self.restricted))
+        else:
+            self.bottleneck = math.inf
 
     # ------------------------------------------------------- stability checks
 
@@ -246,7 +258,7 @@ class LinkState(object):
         index = self.idle_rated
         if not self.restricted or len(index) < len(self.restricted):
             return False
-        rate = self.bottleneck_rate()
+        rate = self.bottleneck
         equal = self.algebra.equal
         if not (equal(index[0][0], rate) and equal(index[-1][0], rate)):
             return False
@@ -260,7 +272,7 @@ class LinkState(object):
         for session_id in self.sessions():
             if self.state_of(session_id) != IDLE:
                 return False
-        rate = self.bottleneck_rate()
+        rate = self.bottleneck
         for session_id in self.restricted:
             recorded = self._rate.get(session_id)
             if recorded is None or not self.algebra.equal(recorded, rate):
@@ -281,7 +293,7 @@ class LinkState(object):
             "unrestricted": set(self.unrestricted),
             "mu": dict(self._mu),
             "rate": dict(self._rate),
-            "bottleneck_rate": self.bottleneck_rate(),
+            "bottleneck": self.bottleneck,
         }
 
     def __repr__(self):
@@ -289,5 +301,5 @@ class LinkState(object):
             self.link_id,
             len(self.restricted),
             len(self.unrestricted),
-            self.bottleneck_rate() if self.restricted else float("inf"),
+            self.bottleneck,
         )

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers of the test suite."""
 
+import math
+
 import pytest
 
 from repro.core.protocol import BNeckProtocol
@@ -57,6 +59,15 @@ def make_session(network, session_id, source_router, destination_router,
     node_path = computer.route(source_host, destination_host)
     links = path_links(network, node_path)
     return Session(session_id, source_host, destination_host, node_path, links, demand)
+
+
+def bottleneck_formula(state):
+    """``B_e`` of a LinkState derived from ``C_e``, ``|R_e|`` and the
+    maintained F_e load, as a ``repr`` (so type and every bit compare)."""
+    if not state.restricted:
+        return repr(math.inf)
+    remaining = state.capacity - state.unrestricted_load()
+    return repr(state.algebra.divide(remaining, len(state.restricted)))
 
 
 def open_bneck_session(protocol, source_router, destination_router,
@@ -139,16 +150,11 @@ class ForwardingRecorder(object):
         self.notifications = []
         self._last_rates = {}
 
-    def forward_downstream(self, link_id, packet):
-        self.downstream.append((link_id, packet))
+    def forward_downstream(self, stage, packet):
+        self.downstream.append((stage.link_id, packet))
 
-    def forward_upstream(self, link_id, packet):
-        self.upstream.append((link_id, packet))
-
-    # RouterLink uses this alias when originating Update/Bottleneck packets
-    # for sessions other than the one whose packet triggered the handler.
-    def send_upstream_from(self, link_id, packet):
-        self.forward_upstream(link_id, packet)
+    def forward_upstream(self, stage, packet):
+        self.upstream.append((stage.link_id, packet))
 
     def notify_rate(self, session_id, rate):
         self.notifications.append((session_id, rate))

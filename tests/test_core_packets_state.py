@@ -18,7 +18,9 @@ from repro.core.packets import (
     Update,
 )
 from repro.core.state import IDLE, LinkState, WAITING_PROBE, WAITING_RESPONSE
+from repro.fairness.algebra import ExactAlgebra, FloatAlgebra
 from repro.network.units import MBPS
+from tests.conftest import bottleneck_formula
 
 
 class TestPackets(object):
@@ -55,6 +57,11 @@ class TestPackets(object):
         assert "found_bottleneck" in repr(SetBottleneck("s", True))
 
 
+@pytest.fixture(params=[FloatAlgebra, ExactAlgebra], ids=["float", "exact"])
+def algebra(request):
+    return request.param()
+
+
 class TestLinkState(object):
     def make_state(self, capacity=100 * MBPS):
         return LinkState(("a", "b"), capacity)
@@ -63,7 +70,7 @@ class TestLinkState(object):
         state = self.make_state()
         assert state.sessions() == set()
         assert not state.knows("s1")
-        assert state.bottleneck_rate() == math.inf
+        assert state.bottleneck == math.inf
         assert state.state_of("s1") == IDLE
         assert state.rate_of("s1") is None
 
@@ -89,7 +96,7 @@ class TestLinkState(object):
         state.add_unrestricted("c")
         state.set_rate("c", 30 * MBPS)
         # (90 - 30) / 2
-        assert state.bottleneck_rate() == pytest.approx(30 * MBPS)
+        assert state.bottleneck == pytest.approx(30 * MBPS)
 
     def test_set_state_validates(self):
         state = self.make_state()
@@ -157,6 +164,38 @@ class TestLinkState(object):
         state.set_rate("s1", 50 * MBPS)
         state.set_rate("s2", 30 * MBPS)
         assert not state.is_stable()
+
+    def test_bottleneck_is_maintained_by_every_mutation(self, algebra):
+        state = LinkState(("a", "b"), 100, algebra)
+        # (mutation, C_e - F_e load, |R_e|) after it; None means R_e is empty.
+        steps = [
+            (lambda: None, None),
+            (lambda: state.add_restricted("a"), (100, 1)),
+            (lambda: state.add_restricted("b"), (100, 2)),
+            (lambda: state.add_restricted("c"), (100, 3)),
+            (lambda: state.set_rate("a", 20), (100, 3)),  # an R_e rate: no move
+            (lambda: state.add_unrestricted("a"), (100 - 20, 2)),
+            (lambda: state.set_rate("a", 35), (100 - 35, 2)),  # an F_e rate
+            (lambda: state.set_rate("b", 10), (100 - 35, 2)),
+            (lambda: state.add_unrestricted("b"), (100 - 45, 1)),
+            (lambda: state.add_unrestricted("d"), (100 - 45, 1)),  # unrated
+            (lambda: state.set_capacity(90), (90 - 45, 1)),
+            (lambda: state.forget("a"), (90 - 10, 1)),  # an F_e member
+            (lambda: state.forget("d"), (90 - 10, 1)),
+            (lambda: state.add_restricted("b"), (90, 2)),  # F_e empties
+            (lambda: state.forget("c"), (90, 1)),  # an R_e member
+            (lambda: state.set_capacity(70), (70, 1)),
+            (lambda: state.forget("b"), None),
+            (lambda: state.set_capacity(50), None),
+        ]
+        for mutate, expected in steps:
+            mutate()
+            if expected is None:
+                assert state.bottleneck == math.inf
+            else:
+                remaining, count = expected
+                assert repr(state.bottleneck) == repr(algebra.divide(remaining, count))
+            assert repr(state.bottleneck) == bottleneck_formula(state)
 
     def test_snapshot_is_a_plain_copy(self):
         state = self.make_state()

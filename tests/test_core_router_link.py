@@ -34,7 +34,8 @@ LINK_ID = ("r1", "r2")
 @pytest.fixture
 def task(recorder):
     link = Link("r1", "r2", 100 * MBPS, 1e-6)
-    return RouterLinkTask(Simulator(), recorder, link, FloatAlgebra())
+    reverse = Link("r2", "r1", 100 * MBPS, 1e-6)
+    return RouterLinkTask(Simulator(), recorder, link, reverse, FloatAlgebra())
 
 
 def settle(task, session_id, rate, restricted=True):

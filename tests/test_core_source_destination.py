@@ -30,8 +30,9 @@ def session(single_link_network):
 
 
 @pytest.fixture
-def source(recorder, session):
-    return SourceNodeTask(Simulator(), recorder, session, FloatAlgebra())
+def source(recorder, session, single_link_network):
+    reverse = single_link_network.reverse_link(session.access_link)
+    return SourceNodeTask(Simulator(), recorder, session, reverse, FloatAlgebra())
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from repro.simulator.tracing import NullPacketTracer
 from repro.workloads.dynamics import DynamicPhase
 from repro.workloads.generator import WorkloadGenerator, uniform_demand
 from repro.workloads.scenarios import NetworkScenario
+from tests.conftest import bottleneck_formula
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "hot_path_goldens.json")
 CROSS_ENGINE_GOLDEN_PATH = os.path.join(
@@ -69,6 +70,7 @@ def _assert_link_bookkeeping_in_sync(protocol):
             state._recomputed_unrestricted_load(), rel=1e-12, abs=1e-6
         )
         assert (state.idle_rated, state.free_rated) == state._rebuilt_indexes()
+        assert repr(state.bottleneck) == bottleneck_formula(state)
 
 
 def _run_scenario(key, trace_packets=True):

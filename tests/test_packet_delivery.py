@@ -135,10 +135,9 @@ class TestInFlightCount(object):
         protocol.join(protocol.create_session(*hosts[0], session_id="s3"), at=6e-6)
         # Count every receive call on every task, dropped packets included.
         received = []
-        for wiring in protocol._wirings.values():
-            for stage in wiring.stages:
-                if "receive" not in vars(stage):
-                    stage.receive = _counting(stage, received)
+        for stages in (protocol._sources, protocol._router_links, protocol._destinations):
+            for stage in stages.values():
+                stage.receive = _counting(stage, received)
         simulator = protocol.simulator
         steps = 0
         while simulator.step():

@@ -50,7 +50,7 @@ def reference_settled(state):
     """``LinkState.all_restricted_settled`` as a full scan of ``R_e``."""
     if not state.restricted:
         return False
-    rate = state.bottleneck_rate()
+    rate = state.bottleneck
     for session_id in state.restricted:
         if state.state_of(session_id) != IDLE:
             return False
@@ -75,7 +75,7 @@ class ReferenceRouterLink(RouterLinkTask):
         state = self.state
         algebra = self.algebra
         while True:
-            rate = state.bottleneck_rate()
+            rate = state.bottleneck
             rated = _unrestricted_rated(state)
             offender_rates = [
                 recorded
@@ -93,7 +93,7 @@ class ReferenceRouterLink(RouterLinkTask):
             for session_id in moved:
                 state.add_restricted(session_id)
 
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         for session_id in sorted(state.restricted):
             recorded = state.rate_of(session_id)
             if (
@@ -113,7 +113,7 @@ class ReferenceRouterLink(RouterLinkTask):
         if tau == UPDATE:
             state.set_state(session_id, WAITING_PROBE)
         else:
-            local_rate = state.bottleneck_rate()
+            local_rate = state.bottleneck
             restricted_here = eta == self.link_id
             accepted = (
                 restricted_here and self.algebra.equal(rate, local_rate)
@@ -135,7 +135,7 @@ class ReferenceRouterLink(RouterLinkTask):
     def on_set_bottleneck(self, packet):
         state = self.state
         session_id = packet.session_id
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         recorded = state.rate_of(session_id)
         if reference_settled(state):
             self._send_downstream(SetBottleneck(session_id, True))
@@ -183,7 +183,7 @@ class ReferenceRouterLink(RouterLinkTask):
                 )
                 state.add_restricted(victim)
         self.process_new_restricted()
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         for session_id in sorted(state.restricted):
             if (
                 state.state_of(session_id) == IDLE
@@ -195,7 +195,7 @@ class ReferenceRouterLink(RouterLinkTask):
     def on_leave(self, packet):
         state = self.state
         session_id = packet.session_id
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck
         to_update = [
             other_id
             for other_id in sorted(state.restricted)
@@ -230,19 +230,18 @@ class _Log(object):
     def __init__(self):
         self.entries = []
 
-    def forward_downstream(self, link_id, packet):
-        self.entries.append(("down", repr(packet)))
+    def forward_downstream(self, stage, packet):
+        self.entries.append(("down", stage.link_id, repr(packet)))
 
-    def forward_upstream(self, link_id, packet):
-        self.entries.append(("up", repr(packet)))
-
-    def send_upstream_from(self, link_id, packet):
-        self.entries.append(("up-from", repr(packet)))
+    def forward_upstream(self, stage, packet):
+        self.entries.append(("up", stage.link_id, repr(packet)))
 
 
 def _task(cls, algebra, capacity):
     log = _Log()
-    task = cls(Simulator(), log, Link(LINK_ID[0], LINK_ID[1], capacity, 1e-6), algebra)
+    link = Link(LINK_ID[0], LINK_ID[1], capacity, 1e-6)
+    reverse = Link(LINK_ID[1], LINK_ID[0], capacity, 1e-6)
+    task = cls(Simulator(), log, link, reverse, algebra)
     # Record every move into R_e, in order, next to the packets.
     add_restricted = task.state.add_restricted
 
@@ -279,7 +278,7 @@ def _rate_near(rng, task, scale, exact):
     ``B_e``, of another recorded rate, or of the abs_tol floor."""
     state = task.state
     if rng.random() < 0.5:
-        anchor = state.bottleneck_rate()
+        anchor = state.bottleneck
     else:
         anchors = [rate for rate in state._rate.values()]
         anchors.append(state.capacity / rng.randint(1, 5))
@@ -313,7 +312,7 @@ def _random_operation(rng, task, sessions, scale, exact):
     kind = rng.randrange(12)
     if kind == 11:
         # Every R_e session answered at B_e, so the link can settle.
-        rate = task.state.bottleneck_rate()
+        rate = task.state.bottleneck
         return ("packets", [
             Response(other_id, RESPONSE, rate, LINK_ID)
             for other_id in sorted(task.state.restricted)
@@ -395,7 +394,7 @@ def test_indexed_handlers_decide_like_the_full_scans(algebra_name, scale):
             assert indexed.state.all_restricted_settled() == settled
             assert_indexes_in_sync(indexed.state)
             settled_true += settled
-            if indexed.state.restricted and indexed.state.bottleneck_rate() < 0:
+            if indexed.state.restricted and indexed.state.bottleneck < 0:
                 negative_bottleneck += 1
     # The generator must reach the interesting corners, or the test is vacuous.
     assert settled_true > 50
