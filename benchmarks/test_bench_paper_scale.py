@@ -96,9 +96,8 @@ def test_paper_medium_five_phase_churn(print_table):
         format_table(
             ("phase", "quiescence [ms]", "packets", "API.Rate callbacks"),
             [
-                (outcome.phase.name, outcome.duration * 1e3, outcome.packets,
-                 outcome.rate_callbacks)
-                for outcome in result.outcomes
+                (m.description, m.duration * 1e3, m.packets, m.rate_callbacks)
+                for m in result.measurements
             ],
         ),
     )

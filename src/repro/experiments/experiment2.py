@@ -13,18 +13,26 @@ The paper reports (a) the time each phase needs to reach quiescence again and
 (b) the number of control packets of each type transmitted per 5 ms interval
 (Figure 6).  Counts are scaled down from the paper's 100,000-session population
 by default (see DESIGN.md); the ratios between phases are preserved.
+
+The phases run as a :class:`~repro.workloads.dynamics.PhaseWorkload` through
+:meth:`~repro.experiments.runner.ExperimentRunner.run_scenario`, one round per
+phase; the final allocation is validated once, after the last phase.
 """
 
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN
-from repro.workloads.dynamics import DynamicPhase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
 from repro.workloads.generator import uniform_demand
-from repro.workloads.scenarios import NetworkScenario
+
+
+def _churn(initial_sessions, churn_fraction):
+    """Sessions each churn phase joins, removes or re-rates."""
+    return max(1, int(round(initial_sessions * churn_fraction)))
 
 
 def DEFAULT_PHASES(initial_sessions, churn_fraction=0.2, window=1e-3):
     """The paper's five phases, scaled to ``initial_sessions``."""
-    churn = max(1, int(round(initial_sessions * churn_fraction)))
+    churn = _churn(initial_sessions, churn_fraction)
     return [
         DynamicPhase("join", joins=initial_sessions, window=window),
         DynamicPhase("leave", leaves=churn, window=window),
@@ -35,7 +43,12 @@ def DEFAULT_PHASES(initial_sessions, churn_fraction=0.2, window=1e-3):
 
 
 class Experiment2Config(object):
-    """Knobs of the Experiment 2 run."""
+    """Knobs of the Experiment 2 run.
+
+    The change phase re-rates sessions that did not leave in the phase
+    before it, so a population whose churn exceeds the sessions that stay
+    (``churn > initial_sessions - churn``) is rejected here, before any run.
+    """
 
     def __init__(
         self,
@@ -53,6 +66,13 @@ class Experiment2Config(object):
         notification_log=None,
         notification_batch_window=None,
     ):
+        churn = _churn(initial_sessions, churn_fraction)
+        if churn > initial_sessions - churn:
+            raise ValueError(
+                "initial_sessions=%d with churn_fraction=%r churns %d sessions "
+                "per phase, more than the %d that stay active for the change "
+                "phase" % (initial_sessions, churn_fraction, churn, initial_sessions - churn)
+            )
         self.size = size
         self.delay_model = delay_model
         self.initial_sessions = initial_sessions
@@ -70,11 +90,12 @@ class Experiment2Config(object):
     def phases(self):
         return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction, self.window)
 
-    def scenario(self):
-        return NetworkScenario(self.size, self.delay_model, seed=self.seed)
-
     def spec(self):
-        """The :class:`~repro.experiments.runner.ScenarioSpec` of this config."""
+        """The :class:`~repro.experiments.runner.ScenarioSpec` of this config.
+
+        The spec does not validate per round: :func:`run_experiment2`
+        validates once, after the last phase, when ``validate`` is set.
+        """
         return ScenarioSpec(
             size=self.size,
             delay_model=self.delay_model,
@@ -82,7 +103,7 @@ class Experiment2Config(object):
             tracer_interval=self.interval,
             notification_log=self.notification_log,
             notification_batch_window=self.notification_batch_window,
-            validate=self.validate,
+            validate=False,
         )
 
     def __repr__(self):
@@ -94,58 +115,62 @@ class Experiment2Config(object):
 
 
 class Experiment2Result(object):
-    """Per-phase quiescence timings plus the per-interval packet-type series."""
+    """Per-phase quiescence timings plus the per-interval packet-type series.
 
-    def __init__(self, config, outcomes, interval_series, validated, rate_callbacks=0,
+    ``measurements`` holds one :class:`~repro.experiments.runner.RunMeasurement`
+    per phase; its ``description`` is the phase name.
+    """
+
+    def __init__(self, config, measurements, interval_series, validated, rate_callbacks=0,
                  final_allocation=None):
         self.config = config
-        self.outcomes = outcomes
+        self.measurements = measurements
         self.interval_series = interval_series
         self.validated = validated
         self.rate_callbacks = rate_callbacks
         self.final_allocation = final_allocation or {}
 
     def phase_durations(self):
-        """``{phase name: seconds until quiescence}``."""
-        return {outcome.phase.name: outcome.duration for outcome in self.outcomes}
+        """``{phase name: seconds from the phase start until quiescence}``."""
+        return {m.description: m.duration for m in self.measurements}
 
     def phase_packets(self):
         """``{phase name: control packets transmitted during the phase}``."""
-        return {outcome.phase.name: outcome.packets for outcome in self.outcomes}
+        return {m.description: m.packets for m in self.measurements}
 
     def total_packets(self):
-        return sum(outcome.packets for outcome in self.outcomes)
+        return sum(m.packets for m in self.measurements)
 
     def __repr__(self):
         return "Experiment2Result(phases=%d, total_packets=%d, validated=%r)" % (
-            len(self.outcomes),
+            len(self.measurements),
             self.total_packets(),
             self.validated,
         )
 
 
 def run_experiment2(config=None, progress=None):
-    """Run Experiment 2 and return an :class:`Experiment2Result`."""
+    """Run Experiment 2 and return an :class:`Experiment2Result`.
+
+    ``progress`` is called once per phase, right after the phase's
+    quiescence, with that phase's
+    :class:`~repro.experiments.runner.RunMeasurement`.
+    """
     config = config or Experiment2Config()
-    demand_sampler = uniform_demand(config.demand_low, config.demand_high)
+    workload = PhaseWorkload(
+        config.phases(),
+        demand_sampler=uniform_demand(config.demand_low, config.demand_high),
+        inter_phase_gap=config.inter_phase_gap,
+    )
     with ExperimentRunner(
         config.spec(), generator_seed=config.seed, progress=progress
     ) as runner:
-        outcomes = runner.run_phases(
-            config.phases(),
-            demand_sampler=demand_sampler,
-            inter_phase_gap=config.inter_phase_gap,
-        )
-
-        validated = True
-        if config.validate:
-            validated = runner.validate()
-
+        measurements = runner.run_scenario(workload)
         return Experiment2Result(
             config=config,
-            outcomes=outcomes,
+            measurements=measurements,
             interval_series=runner.tracer.interval_series(),
-            validated=validated,
+            validated=runner.validate() if config.validate else True,
             rate_callbacks=runner.protocol.rate_callbacks,
             final_allocation=runner.protocol.notified_allocation().as_dict(),
         )

@@ -59,14 +59,14 @@ def format_experiment2_table(result):
     phase_headers = ("phase", "joins", "leaves", "changes", "quiescence [ms]", "packets")
     phase_rows = [
         (
-            outcome.phase.name,
-            outcome.phase.joins,
-            outcome.phase.leaves,
-            outcome.phase.changes,
-            outcome.duration * 1e3,
-            outcome.packets,
+            m.description,
+            len(m.joined_ids),
+            len(m.left_ids),
+            len(m.changed_ids),
+            m.duration * 1e3,
+            m.packets,
         )
-        for outcome in result.outcomes
+        for m in result.measurements
     ]
     phase_table = format_table(phase_headers, phase_rows)
 

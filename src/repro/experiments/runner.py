@@ -8,6 +8,14 @@ counts.  :class:`ScenarioSpec` captures the *what* declaratively;
 :class:`ExperimentRunner` owns the *how* and hands back
 :class:`RunMeasurement` snapshots.
 
+There is one workload driver, :meth:`ExperimentRunner.run_scenario`: a
+workload yields rounds ``(label, start, actions)``, and each round is applied,
+run to quiescence, measured from ``start`` and (per the spec) validated.
+Experiment 2's churn phases are such a workload
+(:class:`~repro.workloads.dynamics.PhaseWorkload`), as are the stochastic
+scenarios of :mod:`repro.workloads.stochastic`.  The runner's ``progress``
+callable sees each round's measurement as soon as the round is quiescent.
+
 Typical use::
 
     spec = ScenarioSpec(size="medium", delay_model=LAN, seed=3,
@@ -27,7 +35,6 @@ from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.transit_stub import LAN
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
-from repro.workloads.dynamics import apply_phase
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 from repro.workloads.stochastic import make_workload
@@ -162,15 +169,23 @@ class RunMeasurement(object):
     """One measured checkpoint: counters since the previous checkpoint.
 
     ``packets`` and ``rate_callbacks`` are deltas relative to the previous
-    :meth:`ExperimentRunner.checkpoint` call (equal to the totals on the
-    first); ``total_packets`` / ``events_processed`` are run-wide totals.
-    ``validation`` is the :class:`~repro.core.validation.ValidationResult`
-    of the checkpoint, or ``None`` when the spec does not validate.
+    checkpoint (equal to the totals on the first); ``total_packets`` /
+    ``events_processed`` are run-wide totals.  ``validation`` is the
+    :class:`~repro.core.validation.ValidationResult` of the checkpoint, or
+    ``None`` when the spec does not validate.
+
+    ``start_time`` is when the measured work began: a workload round's own
+    start under :meth:`ExperimentRunner.run_scenario`, the simulator clock
+    at the call for a plain :meth:`ExperimentRunner.checkpoint`.
+    ``duration`` is ``quiescence_time - start_time``.  ``joined_ids``,
+    ``left_ids`` and ``changed_ids`` are the sessions the round's actions
+    joined, removed and re-rated (empty for a plain checkpoint).
     """
 
     __slots__ = (
         "label",
         "description",
+        "start_time",
         "quiescence_time",
         "packets",
         "total_packets",
@@ -178,12 +193,17 @@ class RunMeasurement(object):
         "rate_callbacks",
         "validated",
         "validation",
+        "joined_ids",
+        "left_ids",
+        "changed_ids",
     )
 
-    def __init__(self, label, description, quiescence_time, packets, total_packets,
-                 events_processed, rate_callbacks, validated, validation=None):
+    def __init__(self, label, description, start_time, quiescence_time, packets,
+                 total_packets, events_processed, rate_callbacks, validated,
+                 joined_ids, left_ids, changed_ids, validation=None):
         self.label = label
         self.description = description
+        self.start_time = start_time
         self.quiescence_time = quiescence_time
         self.packets = packets
         self.total_packets = total_packets
@@ -191,6 +211,14 @@ class RunMeasurement(object):
         self.rate_callbacks = rate_callbacks
         self.validated = validated
         self.validation = validation
+        self.joined_ids = joined_ids
+        self.left_ids = left_ids
+        self.changed_ids = changed_ids
+
+    @property
+    def duration(self):
+        """Time from the start of the measured work until quiescence."""
+        return self.quiescence_time - self.start_time
 
     def as_dict(self):
         return {
@@ -220,9 +248,9 @@ class ExperimentRunner(object):
         spec: the :class:`ScenarioSpec` to realise.
         generator_seed: seed of the :class:`~repro.workloads.generator.WorkloadGenerator`
             (defaults to ``spec.seed``).
-        progress: optional callable invoked with every
-            :class:`~repro.workloads.dynamics.PhaseOutcome` produced by
-            :meth:`run_phase` / :meth:`run_phases`.
+        progress: optional callable invoked once per :meth:`run_scenario`
+            round, right after the round's quiescence (and validation), with
+            that round's :class:`RunMeasurement`.
     """
 
     def __init__(self, spec, generator_seed=None, progress=None):
@@ -282,15 +310,16 @@ class ExperimentRunner(object):
         return result
 
     def run_scenario(self, workload=None, **parameters):
-        """Drive a stochastic workload end to end; returns the measurements.
+        """Drive a workload end to end; returns the measurements.
 
         ``workload`` (default: the spec's ``workload``) resolves through
         :func:`repro.workloads.stochastic.make_workload`; extra keyword
-        arguments construct it when a name or class is given.  Each round the
-        workload yields is applied, run to quiescence, measured and -- per
-        the spec -- validated against the centralized/water-filling oracles,
-        so every capacity change is checked on the *updated* network.
-        Returns one :class:`RunMeasurement` per round.
+        arguments construct it when a name or class is given.  Each round
+        ``(label, start, actions)`` the workload yields is applied, run to
+        quiescence, measured from ``start`` and -- per the spec -- validated
+        against the centralized/water-filling oracles, so every capacity
+        change is checked on the *updated* network.  Returns one
+        :class:`RunMeasurement` per round, each also passed to ``progress``.
         """
         if workload is None:
             workload = self.spec.workload
@@ -301,9 +330,10 @@ class ExperimentRunner(object):
             )
         workload = make_workload(workload, **parameters)
         measurements = []
-        for label, actions in workload.rounds(self):
+        for label, start, actions in workload.rounds(self):
+            actions = list(actions)
             self.apply_actions(actions)
-            measurement = self.checkpoint(label)
+            measurement = self._measure(label, start, actions)
             if not measurement.validated:
                 validation = measurement.validation
                 raise RuntimeError(
@@ -311,48 +341,10 @@ class ExperimentRunner(object):
                     "workload %r: %r; first violations: %r"
                     % (label, workload.name, validation, validation.violations[:3])
                 )
+            if self.progress is not None:
+                self.progress(measurement)
             measurements.append(measurement)
         return measurements
-
-    def run_phase(self, phase, start_time=None, demand_sampler=None,
-                  change_demand_sampler=None, run_to_quiescence=True):
-        """Apply one churn phase, maintain membership, and report its outcome."""
-        outcome = apply_phase(
-            self.protocol,
-            self.generator,
-            phase,
-            self.active_ids,
-            start_time=start_time,
-            demand_sampler=demand_sampler,
-            change_demand_sampler=change_demand_sampler,
-            run_to_quiescence=run_to_quiescence,
-        )
-        removed = set(outcome.left_ids)
-        self.active_ids = [
-            session_id for session_id in self.active_ids if session_id not in removed
-        ] + outcome.joined_ids
-        if self.progress is not None:
-            self.progress(outcome)
-        return outcome
-
-    def run_phases(self, phases, demand_sampler=None, inter_phase_gap=0.0):
-        """Run consecutive churn phases, each to quiescence; returns the outcomes.
-
-        The first phase starts at the simulator's current time (so phases
-        scheduled after an earlier checkpoint are real future schedules,
-        rather than relying on past-dated API calls executing immediately);
-        each subsequent phase starts at the previous phase's observed
-        quiescence time plus ``inter_phase_gap``.
-        """
-        outcomes = []
-        start_time = self.protocol.simulator.now
-        for phase in phases:
-            outcome = self.run_phase(
-                phase, start_time=start_time, demand_sampler=demand_sampler
-            )
-            outcomes.append(outcome)
-            start_time = outcome.quiescence_time + inter_phase_gap
-        return outcomes
 
     # ------------------------------------------------------------------ driving
 
@@ -385,8 +377,13 @@ class ExperimentRunner(object):
         """Run to quiescence, validate (per the spec) and measure.
 
         Returns a :class:`RunMeasurement` whose ``packets`` and
-        ``rate_callbacks`` count only the work since the previous checkpoint.
+        ``rate_callbacks`` count only the work since the previous checkpoint,
+        and whose ``duration`` runs from this call's simulator time.
         """
+        return self._measure(description, self.protocol.simulator.now, ())
+
+    def _measure(self, description, start_time, actions):
+        """:meth:`checkpoint` for work that began at ``start_time`` with ``actions``."""
         quiescence_time = self.run_to_quiescence()
         validation = validate_against_oracle(self.protocol) if self.spec.validate else None
         total_packets = self.tracer.total
@@ -394,6 +391,7 @@ class ExperimentRunner(object):
         measurement = RunMeasurement(
             label=self.spec.label,
             description=description,
+            start_time=start_time,
             quiescence_time=quiescence_time,
             packets=total_packets - self._packets_at_checkpoint,
             total_packets=total_packets,
@@ -401,6 +399,9 @@ class ExperimentRunner(object):
             rate_callbacks=rate_callbacks - self._callbacks_at_checkpoint,
             validated=validation is None or validation.valid,
             validation=validation,
+            joined_ids=[action.session_id for action in actions if action.kind == "join"],
+            left_ids=[action.session_id for action in actions if action.kind == "leave"],
+            changed_ids=[action.session_id for action in actions if action.kind == "change"],
         )
         self._packets_at_checkpoint = total_packets
         self._callbacks_at_checkpoint = rate_callbacks

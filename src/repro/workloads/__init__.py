@@ -9,14 +9,14 @@ provides as reusable building blocks:
   endpoints (uniform over stub routers), random demands and random join times
   inside a window;
 * :mod:`~repro.workloads.dynamics` -- phases of joins, leaves and rate changes
-  (the churn patterns of Experiments 2 and 3);
+  (the churn patterns of Experiments 2 and 3), run as a workload;
 * :mod:`~repro.workloads.stochastic` -- open-loop stochastic scenarios
   (Poisson churn, flash crowds, heavy-tailed demand storms, link-capacity
   dynamics), emitted as action batches that replay bit-identically for a
   given seed.
 """
 
-from repro.workloads.dynamics import DynamicPhase, PhaseOutcome, apply_phase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
 from repro.workloads.generator import (
     SessionSpec,
     WorkloadGenerator,
@@ -50,13 +50,12 @@ __all__ = [
     "HOST_LINK_DELAY",
     "NETWORK_SIZES",
     "NetworkScenario",
-    "PhaseOutcome",
+    "PhaseWorkload",
     "PoissonChurnWorkload",
     "SessionSpec",
     "StochasticWorkload",
     "WORKLOADS",
     "WorkloadGenerator",
-    "apply_phase",
     "build_network",
     "infinite_demand",
     "make_workload",

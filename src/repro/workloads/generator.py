@@ -150,24 +150,18 @@ class WorkloadGenerator(object):
 
     # -------------------------------------------------------------- dynamics
 
-    def pick_sessions(self, session_ids, count, clamp=False):
+    def pick_sessions(self, session_ids, count):
         """Choose ``count`` distinct sessions to act on (leave / change).
 
-        Asking for more sessions than the population holds is an error by
-        default -- silently shrinking the sample used to under-report churn.
-        Pass ``clamp=True`` for best-effort sampling (the phase machinery does,
-        and records the shortfall in
-        :attr:`~repro.workloads.dynamics.PhaseOutcome.shortfalls`).
+        Asking for more sessions than the population holds is an error --
+        silently shrinking the sample used to under-report churn.
         """
         session_ids = list(session_ids)
         if count > len(session_ids):
-            if not clamp:
-                raise ValueError(
-                    "cannot pick %d sessions from a population of %d; shrink "
-                    "the request or pass clamp=True to sample best-effort"
-                    % (count, len(session_ids))
-                )
-            count = len(session_ids)
+            raise ValueError(
+                "cannot pick %d sessions from a population of %d; shrink the request"
+                % (count, len(session_ids))
+            )
         return self.random_source.sample(session_ids, count)
 
     def random_times(self, count, window):

@@ -19,16 +19,17 @@ segment of it can be resolved up front and emitted as plain
 The action contract
 -------------------
 
-A workload yields *rounds*: ``(label, actions)`` batches in which every
-random choice (endpoints, demands, times, links, factors) has already been
-resolved against the runner's seeded random streams, and every action carries
-an absolute time at or after the yield-time clock.  Because the batch is
-plain data applied through the protocol's ``apply_actions``, a seed replays
-the same scenario bit-identically (the goldens in
-``tests/data/cross_engine_goldens.json`` enforce this).  Rounds are generated
-lazily: each one anchors at the simulator clock *after* the previous round
-reached quiescence, so sustained processes of any length never schedule an
-action in the past.
+A workload yields *rounds*: ``(label, start, actions)`` batches in which
+every random choice (endpoints, demands, times, links, factors) has already
+been resolved against the runner's seeded random streams.  ``start`` is at or
+after the yield-time clock, every action carries an absolute time at or after
+``start``, and the round's measured duration runs from ``start`` to its
+quiescence.  Because the batch is plain data applied through the protocol's
+``apply_actions``, a seed replays the same scenario bit-identically (the
+goldens in ``tests/data/cross_engine_goldens.json`` enforce this).  Rounds
+are generated lazily: each one anchors at the simulator clock *after* the
+previous round reached quiescence, so sustained processes of any length never
+schedule an action in the past.
 
 :meth:`repro.experiments.runner.ExperimentRunner.run_scenario` drives a
 workload end to end -- apply a round, run to quiescence, validate against
@@ -126,12 +127,12 @@ class StochasticWorkload(object):
     """Base class: a named generator of action rounds.
 
     Subclasses implement :meth:`rounds`, a *lazy* generator of
-    ``(label, actions)`` batches.  Between two yields the caller applies
-    the batch and runs the protocol to quiescence, so each round must read
-    ``runner.protocol.simulator.now`` afresh and date its actions strictly
-    inside the future.  All randomness must come from the runner's generator
-    streams (``runner.generator.random_source`` et al.) so a seed pins the
-    entire scenario.
+    ``(label, start, actions)`` batches.  Between two yields the caller
+    applies the batch and runs the protocol to quiescence, so each round must
+    read ``runner.protocol.simulator.now`` afresh, date ``start`` no earlier
+    than it and its actions no earlier than ``start``.  All randomness must
+    come from the runner's generator streams (``runner.generator.random_source``
+    et al.) so a seed pins the entire scenario.
     """
 
     name = None
@@ -223,7 +224,7 @@ class PoissonChurnWorkload(StochasticWorkload):
                 else:
                     next_carried.append((spec.session_id, departure - end))
             carried = next_carried
-            yield ("%s segment %d (%d arrivals)" % (self.name, segment, arrivals), actions)
+            yield ("%s segment %d (%d arrivals)" % (self.name, segment, arrivals), start, actions)
 
 
 @register_workload
@@ -280,7 +281,7 @@ class FlashCrowdWorkload(StochasticWorkload):
                 join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
                 for spec in specs
             ]
-            yield ("%s base population (%d)" % (self.name, self.base_sessions), actions)
+            yield ("%s base population (%d)" % (self.name, self.base_sessions), start, actions)
 
         subtrees = destination_subtrees(runner.network)
         subtree = rng.choice(sorted(subtrees))
@@ -310,6 +311,7 @@ class FlashCrowdWorkload(StochasticWorkload):
             )
         yield (
             "%s crowd of %d onto subtree %s" % (self.name, self.crowd_size, subtree),
+            start,
             actions,
         )
 
@@ -322,7 +324,7 @@ class FlashCrowdWorkload(StochasticWorkload):
                 LeaveAction(session_id, when)
                 for session_id, when in zip(crowd_ids, times)
             ]
-            yield ("%s crowd departs" % self.name, actions)
+            yield ("%s crowd departs" % self.name, start, actions)
 
 
 @register_workload
@@ -385,7 +387,7 @@ class HeavyTailedDemandWorkload(StochasticWorkload):
             join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
             for spec in specs
         ]
-        yield ("%s population (%d)" % (self.name, self.sessions), actions)
+        yield ("%s population (%d)" % (self.name, self.sessions), start, actions)
 
         for burst in range(1, self.bursts + 1):
             start = runner.protocol.simulator.now + self.start_offset
@@ -400,7 +402,7 @@ class HeavyTailedDemandWorkload(StochasticWorkload):
                     generator.host_capacity,
                 )
                 actions.append(ChangeAction(session_id, demand, when))
-            yield ("%s burst %d (%d changes)" % (self.name, burst, len(actions)), actions)
+            yield ("%s burst %d (%d changes)" % (self.name, burst, len(actions)), start, actions)
 
 
 @register_workload
@@ -462,7 +464,7 @@ class CapacityDynamicsWorkload(StochasticWorkload):
             join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
             for spec in specs
         ]
-        yield ("%s population (%d)" % (self.name, self.sessions), actions)
+        yield ("%s population (%d)" % (self.name, self.sessions), start, actions)
 
         # Original bandwidth per *directed* link, recorded for both directions
         # the first time an event touches their pair: every cut scales each
@@ -492,6 +494,7 @@ class CapacityDynamicsWorkload(StochasticWorkload):
             ]
             yield (
                 "%s event %d: %s->%s x%.2f" % (self.name, event, source, target, factor),
+                at,
                 actions,
             )
 
@@ -503,5 +506,6 @@ class CapacityDynamicsWorkload(StochasticWorkload):
             ]
             yield (
                 "%s restore (%d links)" % (self.name, len(originals) // 2),
+                at,
                 actions,
             )

@@ -8,7 +8,7 @@ from repro.experiments.runner import ExperimentRunner, RunMeasurement, ScenarioS
 from repro.network.topology import parking_lot_topology
 from repro.network.units import MBPS
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
-from repro.workloads.dynamics import DynamicPhase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
 from repro.workloads.scenarios import NetworkScenario
 
 
@@ -112,21 +112,27 @@ class TestExperimentRunner(object):
         assert second.total_packets == first.total_packets + second.packets
         assert second.description == "second wave"
 
-    def test_run_phases_maintains_membership(self):
-        outcomes_seen = []
+    def test_phase_rounds_maintain_membership(self):
+        measurements_seen = []
         runner = ExperimentRunner(
-            ScenarioSpec(size="small", seed=5), progress=outcomes_seen.append
+            ScenarioSpec(size="small", seed=5), progress=measurements_seen.append
         )
         phases = [
             DynamicPhase("join", joins=12),
             DynamicPhase("leave", leaves=4),
             DynamicPhase("mixed", joins=3, leaves=2, changes=2),
         ]
-        outcomes = runner.run_phases(phases, inter_phase_gap=1e-3)
-        assert [outcome.phase.name for outcome in outcomes] == ["join", "leave", "mixed"]
-        assert outcomes_seen == outcomes
+        measurements = runner.run_scenario(PhaseWorkload(phases, inter_phase_gap=1e-3))
+        assert [m.description for m in measurements] == ["join", "leave", "mixed"]
+        assert measurements_seen == measurements
         assert len(runner.active_ids) == 12 - 4 + 3 - 2
-        assert outcomes[-1].active_after == len(runner.active_ids)
+        assert sum(len(m.joined_ids) - len(m.left_ids) for m in measurements) == len(
+            runner.active_ids
+        )
+        assert [len(m.changed_ids) for m in measurements] == [0, 0, 2]
+        assert measurements[0].start_time == 0.0
+        for previous, measurement in zip(measurements, measurements[1:]):
+            assert measurement.start_time == previous.quiescence_time + 1e-3
         assert runner.validate()
 
     def test_validate_skipped_when_spec_says_so(self):

@@ -130,6 +130,28 @@ class TestExperiment2(object):
         total_in_series = sum(sum(counts.values()) for _, counts in result.interval_series)
         assert total_in_series == result.total_packets()
 
+    def test_config_rejects_churn_beyond_the_population(self):
+        # 14 of 20 sessions churn: the change phase could only re-rate the 6
+        # that stayed, which used to be applied silently as 6 of 14.
+        with pytest.raises(ValueError, match="churns 14 sessions per phase, more than the 6"):
+            Experiment2Config(size="small", initial_sessions=20, churn_fraction=0.7, seed=8)
+
+    def test_config_at_the_churn_limit_applies_every_request(self):
+        config = Experiment2Config(size="small", initial_sessions=20, churn_fraction=0.5, seed=8)
+        progress = []
+        result = run_experiment2(config, progress=progress.append)
+        assert result.validated
+        assert progress == result.measurements
+        applied = [
+            (m.description, len(m.joined_ids), len(m.left_ids), len(m.changed_ids))
+            for m in result.measurements
+        ]
+        requested = [
+            (phase.name, phase.joins, phase.leaves, phase.changes) for phase in config.phases()
+        ]
+        assert applied == requested
+        assert requested[2] == ("change", 0, 0, 10)
+
 
 class TestExperiment3(object):
     @pytest.fixture(scope="class")

@@ -31,7 +31,7 @@ from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import NullPacketTracer
-from repro.workloads.dynamics import DynamicPhase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
 from repro.workloads.generator import WorkloadGenerator, uniform_demand
 from repro.workloads.scenarios import NetworkScenario
 from tests.conftest import bottleneck_formula
@@ -170,21 +170,23 @@ class TestMultiPhaseChurnDeterminism(object):
             DynamicPhase("join2", joins=churn),
             DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn),
         ]
-        outcomes = runner.run_phases(
-            phases,
-            demand_sampler=uniform_demand(1e6, 80e6),
-            inter_phase_gap=1e-3,
+        measurements = runner.run_scenario(
+            PhaseWorkload(
+                phases,
+                demand_sampler=uniform_demand(1e6, 80e6),
+                inter_phase_gap=1e-3,
+            )
         )
         final = runner.checkpoint("after churn")
-        return runner, outcomes, final
+        return runner, measurements, final
 
     def test_churn_reproduces_the_sequential_golden(self):
         golden = CROSS_ENGINE_GOLDENS[self.CHURN_KEY]["sequential"]
-        runner, outcomes, final = self._run_churn()
+        runner, measurements, final = self._run_churn()
         protocol = runner.protocol
         assert final.validated
-        assert [repr(o.quiescence_time) for o in outcomes] == golden["phase_quiescence"]
-        assert [o.packets for o in outcomes] == golden["phase_packets"]
+        assert [repr(m.quiescence_time) for m in measurements] == golden["phase_quiescence"]
+        assert [m.packets for m in measurements] == golden["phase_packets"]
         assert protocol.tracer.total == golden["packets"]
         assert protocol.simulator.events_processed == golden["events"]
         assert dict(protocol.tracer.by_type) == golden["by_type"]

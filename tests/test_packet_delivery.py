@@ -18,7 +18,7 @@ from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
-from repro.workloads.dynamics import DynamicPhase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
 from repro.workloads.generator import uniform_demand
 
 # (record count, sha256 of every packet record in send order) of a scenario,
@@ -45,16 +45,18 @@ def _churn_runner():
     spec = ScenarioSpec(size="medium", delay_model="lan", seed=5)
     runner = ExperimentRunner(spec, generator_seed=5)
     runner.tracer.keep_records = True
-    runner.run_phases(
-        [
-            DynamicPhase("join", joins=60),
-            DynamicPhase("leave", leaves=12),
-            DynamicPhase("change", changes=12),
-            DynamicPhase("join2", joins=12),
-            DynamicPhase("mixed", joins=12, leaves=12, changes=12),
-        ],
-        demand_sampler=uniform_demand(1e6, 80e6),
-        inter_phase_gap=1e-3,
+    runner.run_scenario(
+        PhaseWorkload(
+            [
+                DynamicPhase("join", joins=60),
+                DynamicPhase("leave", leaves=12),
+                DynamicPhase("change", changes=12),
+                DynamicPhase("join2", joins=12),
+                DynamicPhase("mixed", joins=12, leaves=12, changes=12),
+            ],
+            demand_sampler=uniform_demand(1e6, 80e6),
+            inter_phase_gap=1e-3,
+        )
     )
     return runner
 

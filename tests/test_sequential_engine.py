@@ -30,7 +30,7 @@ from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.errors import SimulationLimitExceeded
 from repro.simulator.simulation import Simulator
-from repro.workloads.dynamics import DynamicPhase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
 
 # (size, delay model, seed, sessions)
 SCENARIOS = [
@@ -214,14 +214,14 @@ def _churn(seed, count=40):
         DynamicPhase("join2", joins=10),
         DynamicPhase("mixed", joins=6, leaves=6, changes=6),
     ]
-    outcomes = runner.run_phases(phases, inter_phase_gap=1e-3)
+    measurements = runner.run_scenario(PhaseWorkload(phases, inter_phase_gap=1e-3))
     final = runner.checkpoint("after churn")
     protocol = runner.protocol
     summary = {
         "first_quiescence": repr(first.quiescence_time),
-        "phase_quiescence": [repr(outcome.quiescence_time) for outcome in outcomes],
-        "phase_packets": [outcome.packets for outcome in outcomes],
-        "phase_callbacks": [outcome.rate_callbacks for outcome in outcomes],
+        "phase_quiescence": [repr(m.quiescence_time) for m in measurements],
+        "phase_packets": [m.packets for m in measurements],
+        "phase_callbacks": [m.rate_callbacks for m in measurements],
         "fingerprint": _fingerprint(protocol, final.quiescence_time),
         "active": sorted(runner.active_ids),
     }

@@ -11,10 +11,13 @@ Four families of guarantees:
   allocation matches the water-filling oracle on the *updated* capacities,
   including the empty-``R_e`` oversubscription case (a deep cut on a link
   whose sessions were all restricted elsewhere).
-* **Workload-generator validation** (regressions): ``pick_sessions`` no
-  longer silently clamps, ``random_times`` rejects inverted windows, and a
-  phase asking for more churn than the live population records the shortfall
-  in :attr:`~repro.workloads.dynamics.PhaseOutcome.shortfalls`.
+* **Workload-generator validation** (regressions): ``pick_sessions`` never
+  shrinks a sample to fit, ``random_times`` rejects inverted windows, and a
+  phase asking for more churn than the live population raises before any of
+  its actions is applied.
+* **Round measurements**: every ``run_scenario`` round reports when it
+  started, how long it took to quiesce and which sessions it joined, removed
+  and re-rated, and hands that measurement to the runner's ``progress``.
 * **Runner lifecycle**: ``ExperimentRunner`` is a context manager that
   yields the runner and lets exceptions propagate.
 """
@@ -39,7 +42,7 @@ from repro.network.graph import Network
 from repro.network.topology import parking_lot_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.workloads.dynamics import DynamicPhase, apply_phase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload, phase_actions
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import build_network
 from repro.workloads.stochastic import (
@@ -214,7 +217,7 @@ class TestCapacityChangeSemantics(object):
         workload = CapacityDynamicsWorkload(sessions=30, events=3)
         with ExperimentRunner(spec) as runner:
             observed_capacities = []
-            for label, actions in workload.rounds(runner):
+            for label, _start, actions in workload.rounds(runner):
                 changed = {
                     (action.source, action.target): action.capacity
                     for action in actions
@@ -254,7 +257,7 @@ class TestCapacityChangeSemantics(object):
         )
         capacities = []
         with ExperimentRunner(spec) as runner:
-            for label, actions in workload.rounds(runner):
+            for label, _start, actions in workload.rounds(runner):
                 runner.apply_actions(actions)
                 assert runner.checkpoint(label).validated
                 capacities.append(
@@ -290,7 +293,7 @@ class TestCapacityChangeSemantics(object):
         )
         capacities = []
         with ExperimentRunner(spec) as runner:
-            for label, actions in workload.rounds(runner):
+            for label, _start, actions in workload.rounds(runner):
                 runner.apply_actions(actions)
                 assert runner.checkpoint(label).validated
                 capacities.append(
@@ -306,43 +309,98 @@ class TestCapacityChangeSemantics(object):
         ]
 
 
-class TestPhaseShortfallReporting(object):
+class TestPhaseOverdraw(object):
     def _runner(self, seed=3):
         return ExperimentRunner(ScenarioSpec(size="small", seed=seed))
 
-    def test_phase_overdraw_records_requested_vs_applied(self):
+    def test_too_many_leaves_raise_before_any_action(self):
         with self._runner() as runner:
             runner.populate(4, join_window=(0.0, 1e-3))
             runner.checkpoint("join")
-            outcome = runner.run_phase(DynamicPhase("purge", leaves=10, changes=2))
-            # Only 4 sessions were alive: the shortfall is surfaced, not
-            # silently clamped away (the historical bug).
-            assert outcome.shortfalls["leaves"] == (10, 4)
-            assert len(outcome.left_ids) == 4
-            # All sessions left before the change sample was drawn.
-            assert outcome.shortfalls["changes"] == (2, 0)
-            assert outcome.active_after == 0
+            events = runner.protocol.simulator.events_processed
+            workload = PhaseWorkload([DynamicPhase("purge", leaves=10, changes=2)])
+            # Only 4 sessions are alive: the request is refused, not silently
+            # shrunk to fit (the historical under-reporting bug).
+            with pytest.raises(
+                ValueError, match="phase 'purge' asks for 10 leaves but only 4 sessions"
+            ):
+                runner.run_scenario(workload)
+            assert len(runner.active_ids) == 4
+            assert len(runner.protocol.registry) == 4
+            assert runner.protocol.simulator.pending_events == 0
+            assert runner.protocol.simulator.events_processed == events
 
-    def test_satisfiable_phase_reports_no_shortfall(self):
+    def test_too_many_changes_among_the_stayers_raise(self):
         with self._runner() as runner:
             runner.populate(6, join_window=(0.0, 1e-3))
             runner.checkpoint("join")
-            outcome = runner.run_phase(DynamicPhase("churn", leaves=2, changes=2))
-            assert outcome.shortfalls == {}
+            workload = PhaseWorkload([DynamicPhase("churn", leaves=2, changes=5)])
+            with pytest.raises(
+                ValueError, match="phase 'churn' asks for 5 changes but only 4 sessions"
+            ):
+                runner.run_scenario(workload)
+            assert len(runner.protocol.registry) == 6
+            assert runner.protocol.simulator.pending_events == 0
 
-    def test_apply_phase_on_bare_protocol_also_reports(self):
+    def test_satisfiable_phase_applies_every_request(self):
+        with self._runner() as runner:
+            runner.populate(6, join_window=(0.0, 1e-3))
+            runner.checkpoint("join")
+            [measurement] = runner.run_scenario(
+                PhaseWorkload([DynamicPhase("churn", leaves=2, changes=4)])
+            )
+            assert len(measurement.left_ids) == 2
+            assert len(measurement.changed_ids) == 4
+            assert len(runner.active_ids) == 4
+
+    def test_phase_actions_on_a_bare_generator_also_raise(self):
         network = build_network("small", "lan", seed=2)
-        protocol = BNeckProtocol(network)
         generator = WorkloadGenerator(network, seed=2)
-        generator.populate(protocol, 3, join_window=(0.0, 1e-3))
-        protocol.run_until_quiescent()
-        outcome = apply_phase(
-            protocol,
-            generator,
-            DynamicPhase("leave", leaves=5),
-            ["s1", "s2", "s3"],
-        )
-        assert outcome.shortfalls == {"leaves": (5, 3)}
+        with pytest.raises(ValueError, match="phase 'leave' asks for 5 leaves but only 3"):
+            phase_actions(
+                generator, DynamicPhase("leave", leaves=5), ["s1", "s2", "s3"], 0.0
+            )
+
+
+class TestRoundMeasurements(object):
+    """The per-round fields of ``run_scenario``'s measurements."""
+
+    @pytest.mark.parametrize("name", ["poisson-churn", "capacity-dynamics"])
+    def test_rounds_report_start_duration_membership_and_progress(self, name):
+        workload = make_workload(name)
+        resolved = []
+        rounds = workload.rounds
+
+        def recorded_rounds(runner):
+            for label, start, actions in rounds(runner):
+                resolved.append((label, start, list(actions)))
+                yield label, start, actions
+
+        workload.rounds = recorded_rounds
+        seen = []
+        spec = ScenarioSpec(size="small", delay_model="lan", seed=11)
+        with ExperimentRunner(spec, progress=seen.append) as runner:
+            measurements = runner.run_scenario(workload)
+        assert len(measurements) == len(resolved) >= 2
+        assert len(seen) == len(measurements)
+        assert all(a is b for a, b in zip(seen, measurements))
+        active = set()
+        for (label, start, actions), measurement in zip(resolved, measurements):
+            assert measurement.description == label
+            assert measurement.start_time == start
+            assert all(start <= action.at for action in actions)
+            assert measurement.duration == measurement.quiescence_time - start
+            # A capacity change that moves no rate quiesces at its own instant.
+            assert measurement.duration >= 0
+            joins = [action.session_id for action in actions if action.kind == "join"]
+            leaves = [action.session_id for action in actions if action.kind == "leave"]
+            changes = [action.session_id for action in actions if action.kind == "change"]
+            assert measurement.joined_ids == joins
+            assert measurement.left_ids == leaves
+            assert measurement.changed_ids == changes
+            active = (active | set(joins)) - set(leaves)
+        assert active == set(runner.active_ids)
+        assert active == {session.session_id for session in runner.protocol.active_sessions()}
 
 
 class TestRunnerContextManager(object):
@@ -420,7 +478,7 @@ class TestWorkloadRegistryAndRunner(object):
         with ExperimentRunner(spec) as runner:
             workload = make_workload("poisson-churn", segments=2)
             batches = []
-            for label, actions in workload.rounds(runner):
+            for label, _start, actions in workload.rounds(runner):
                 batches.append(actions)
                 runner.apply_actions(actions)
                 assert runner.checkpoint(label).validated

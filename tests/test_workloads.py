@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
+from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN
 from repro.network.units import MBPS
-from repro.workloads.dynamics import DynamicPhase, apply_phase
+from repro.workloads.dynamics import DynamicPhase, PhaseWorkload, phase_actions
 from repro.workloads.generator import (
     WorkloadGenerator,
     infinite_demand,
@@ -124,9 +125,8 @@ class TestWorkloadGenerator(object):
         picked = generator.pick_sessions(["a", "b", "c", "d"], 2)
         assert len(picked) == 2
         assert len(set(picked)) == 2
-        with pytest.raises(ValueError, match="population of 1"):
+        with pytest.raises(ValueError, match="cannot pick 5 sessions from a population of 1"):
             generator.pick_sessions(["a"], 5)
-        assert generator.pick_sessions(["a"], 5, clamp=True) == ["a"]
         times = generator.random_times(3, (1.0, 2.0))
         assert len(times) == 3
         assert all(1.0 <= t <= 2.0 for t in times)
@@ -148,52 +148,47 @@ class TestDynamicPhases(object):
         phase = DynamicPhase("ok", joins=2, leaves=1, changes=3)
         assert phase.total_actions() == 6
 
-    def test_apply_join_phase(self):
-        network = build_network("small", LAN, seed=9)
-        generator = WorkloadGenerator(network, seed=9)
-        protocol = BNeckProtocol(network)
-        outcome = apply_phase(
-            protocol, generator, DynamicPhase("join", joins=20), active_ids=[]
-        )
-        assert len(outcome.joined_ids) == 20
-        assert outcome.active_after == 20
-        assert outcome.duration > 0
-        assert outcome.packets > 0
-        assert protocol.quiescent
-        assert validate_against_oracle(protocol).valid
+    def test_join_phase_round(self):
+        runner = ExperimentRunner(ScenarioSpec(size="small", delay_model=LAN, seed=9))
+        [measurement] = runner.run_scenario(PhaseWorkload([DynamicPhase("join", joins=20)]))
+        assert measurement.description == "join"
+        assert len(measurement.joined_ids) == 20
+        assert len(runner.active_ids) == 20
+        assert measurement.duration > 0
+        assert measurement.packets > 0
+        assert runner.protocol.quiescent
+        assert measurement.validated
+        assert validate_against_oracle(runner.protocol).valid
 
-    def test_apply_leave_and_change_phase(self):
-        network = build_network("small", LAN, seed=10)
-        generator = WorkloadGenerator(network, seed=10)
-        protocol = BNeckProtocol(network)
-        first = apply_phase(protocol, generator, DynamicPhase("join", joins=20), active_ids=[])
-        active = first.joined_ids
-        mixed = apply_phase(
-            protocol,
-            generator,
-            DynamicPhase("mixed", joins=5, leaves=5, changes=5),
-            active_ids=active,
-            demand_sampler=uniform_demand(1 * MBPS, 50 * MBPS),
-            start_time=protocol.simulator.now + 1e-3,
+    def test_leave_and_change_phase_round(self):
+        runner = ExperimentRunner(ScenarioSpec(size="small", delay_model=LAN, seed=10))
+        first, mixed = runner.run_scenario(
+            PhaseWorkload(
+                [
+                    DynamicPhase("join", joins=20),
+                    DynamicPhase("mixed", joins=5, leaves=5, changes=5),
+                ],
+                demand_sampler=uniform_demand(1 * MBPS, 50 * MBPS),
+                inter_phase_gap=1e-3,
+            )
         )
+        assert mixed.start_time == first.quiescence_time + 1e-3
+        assert set(mixed.left_ids) <= set(first.joined_ids)
         assert len(mixed.left_ids) == 5
         assert len(mixed.changed_ids) == 5
         assert len(mixed.joined_ids) == 5
-        assert mixed.active_after == 20
+        assert len(runner.active_ids) == 20
         assert set(mixed.left_ids) & set(mixed.changed_ids) == set()
-        assert len(protocol.registry) == 20
-        assert validate_against_oracle(protocol).valid
+        assert len(runner.protocol.registry) == 20
+        assert validate_against_oracle(runner.protocol).valid
 
-    def test_phase_without_running_to_quiescence(self):
+    def test_phase_actions_only_resolve_the_schedule(self):
         network = build_network("small", LAN, seed=11)
         generator = WorkloadGenerator(network, seed=11)
         protocol = BNeckProtocol(network)
-        outcome = apply_phase(
-            protocol,
-            generator,
-            DynamicPhase("join", joins=5),
-            active_ids=[],
-            run_to_quiescence=False,
-        )
-        assert outcome.quiescence_time == outcome.start_time
+        actions = phase_actions(generator, DynamicPhase("join", joins=5), [], 2e-3)
+        assert [action.kind for action in actions] == ["join"] * 5
+        assert all(2e-3 <= action.at <= 3e-3 for action in actions)
+        assert len(protocol.registry) == 0
+        protocol.apply_actions(actions)
         assert protocol.simulator.pending_events > 0
