@@ -20,6 +20,7 @@ from repro.network.topology import dumbbell_topology, parking_lot_topology
 from repro.network.transit_stub import big_network, medium_network
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
+from repro.simulator.tracing import NullPacketTracer
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -80,9 +81,9 @@ def test_parking_lot_scaling(benchmark, print_table):
     assert totals == sorted(totals)
 
 
-def _transit_stub_run(build, session_count, seed, trace_packets=True):
+def _transit_stub_run(build, session_count, seed, tracer=None):
     network = build("lan", seed=seed)
-    protocol = BNeckProtocol(network, trace_packets=trace_packets)
+    protocol = BNeckProtocol(network, tracer=tracer)
     generator = WorkloadGenerator(network, seed=seed + session_count)
     generator.populate(protocol, session_count, join_window=(0.0, 1e-3))
     start = time.perf_counter()
@@ -141,9 +142,9 @@ def test_null_tracer_zero_overhead_path(benchmark, print_table):
 
     def compare():
         results = {}
-        for label, trace_packets in (("traced", True), ("untraced", False)):
+        for label, tracer in (("traced", None), ("untraced", NullPacketTracer())):
             protocol, _, wall_clock = _transit_stub_run(
-                medium_network, 250, seed=17, trace_packets=trace_packets
+                medium_network, 250, seed=17, tracer=tracer
             )
             results[label] = (
                 wall_clock,

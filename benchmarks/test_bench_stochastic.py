@@ -16,14 +16,8 @@ from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.workloads.stochastic import PoissonChurnWorkload
 
 
-def _run_poisson(size, seed, workload, trace_packets=True, notification_log=None):
-    spec = ScenarioSpec(
-        size=size,
-        delay_model="lan",
-        seed=seed,
-        trace_packets=trace_packets,
-        notification_log=notification_log,
-    )
+def _run_poisson(size, seed, workload, trace_packets=True):
+    spec = ScenarioSpec(size=size, delay_model="lan", seed=seed, trace_packets=trace_packets)
     with ExperimentRunner(spec) as runner:
         measurements = runner.run_scenario(workload)
         return {
@@ -81,7 +75,6 @@ def test_paper_medium_sustained_churn(print_table):
         seed=3,
         workload=workload,
         trace_packets=False,
-        notification_log="null",
     )
     measurements = result["measurements"]
     assert len(measurements) == 6

@@ -28,7 +28,7 @@ from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import Simulator
-from repro.simulator.tracing import NullPacketTracer, PacketTracer
+from repro.simulator.tracing import PacketTracer
 
 PROBE_PACKET = "Probe"
 RESPONSE_PACKET = "Response"
@@ -98,16 +98,11 @@ class BaselineProtocol(object):
         algebra=None,
         tracer=None,
         probe_interval=1e-3,
-        trace_packets=True,
     ):
         self.network = network
         self.simulator = simulator or Simulator()
         self.algebra = algebra or default_algebra()
-        if tracer is None:
-            # Same opt-out contract as BNeckProtocol: time-only runs skip the
-            # per-packet accounting entirely.
-            tracer = PacketTracer() if trace_packets else NullPacketTracer()
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else PacketTracer()
         self.probe_interval = probe_interval
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network)

@@ -16,8 +16,8 @@ The package mirrors the paper's Section III structure:
   (``API.Join`` / ``API.Leave`` / ``API.Change`` / ``API.Rate``).
 * :mod:`~repro.core.actions` -- joins, leaves, rate and capacity changes as
   data records that workloads emit and protocols replay.
-* :mod:`~repro.core.notifications` -- ``API.Rate`` record storage (full /
-  null) behind ``BNeckProtocol.notifications``.
+* :mod:`~repro.core.notifications` -- the ``API.Rate`` record behind
+  ``BNeckProtocol.notifications``.
 * :mod:`~repro.core.protocol` -- :class:`BNeckProtocol`, which instantiates the
   tasks over a network + simulator, routes packets along session paths with
   link delays, and exposes quiescence-and-rates helpers.
@@ -28,11 +28,7 @@ The package mirrors the paper's Section III structure:
 
 from repro.core.api import RateNotification, SessionApplication
 from repro.core.centralized import centralized_bneck
-from repro.core.notifications import (
-    NotificationLog,
-    NullNotificationLog,
-    make_notification_log,
-)
+from repro.core.notifications import NotificationLog
 from repro.core.actions import (
     CapacityChangeAction,
     ChangeAction,
@@ -72,7 +68,6 @@ __all__ = [
     "LeaveAction",
     "LinkState",
     "NotificationLog",
-    "NullNotificationLog",
     "PACKET_TYPES",
     "Probe",
     "RESPONSE",
@@ -89,7 +84,6 @@ __all__ = [
     "centralized_bneck",
     "check_stability",
     "join_action_from_spec",
-    "make_notification_log",
     "replay_actions",
     "validate_against_oracle",
 ]

@@ -17,36 +17,19 @@ network and a discrete-event simulator:
   ``API.Rate`` notification, and provides quiescence and allocation helpers
   used by the experiments and tests.
 
-Notification delivery
----------------------
-
-``API.Rate`` is a plain upcall: by default each ``notify_rate`` call reaches
-the session's :class:`~repro.core.api.SessionApplication` synchronously, as
-its ``deliver_rate`` callback.  For churn-heavy experiments,
-``notification_batch_window=w`` coalesces the callbacks into logical windows
-of ``w`` seconds: pending rates are delivered at the next multiple of ``w``,
-one application update per session per window, carrying the session's final
-rate.  Windowed flushes run as out-of-band *bookkeeping timers*
-(:meth:`~repro.simulator.simulation.Simulator.schedule_bookkeeping`), so they
-never appear in ``events_processed``, never stretch a reported quiescence
-time, and never count against ``Simulator.max_events`` / ``max_time`` caps;
-applications observe the window-boundary timestamp.  Notifications schedule
-no events, so packet counts, event counts and final allocations are
-bit-identical with or without a window; only the application-facing callback
-stream is coalesced.
-
-The record of ``API.Rate`` invocations is kept in a *notification log* (see
-:mod:`repro.core.notifications`): the default retains everything
-(list-compatible via the ``notifications`` attribute); churn-heavy runs can
-pass ``notification_log="null"`` (keep nothing but a count) without affecting
-protocol behaviour.
+``API.Rate`` is a plain upcall, as in the paper: each :meth:`notify_rate`
+call records the invocation in the protocol's
+:class:`~repro.core.notifications.NotificationLog` and reaches the session's
+:class:`~repro.core.api.SessionApplication` synchronously, as its
+``deliver_rate`` callback.  Notifications schedule no events, so they never
+show in packet or event counts.
 """
 
 import math
 
 from repro.core.actions import CapacityChangeAction, replay_actions, validate_actions
 from repro.core.api import SessionApplication
-from repro.core.notifications import make_notification_log
+from repro.core.notifications import NotificationLog
 from repro.core.destination_node import DestinationNodeTask
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
@@ -55,7 +38,7 @@ from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import Simulator
-from repro.simulator.tracing import NullPacketTracer, PacketTracer
+from repro.simulator.tracing import PacketTracer
 
 DOWNSTREAM = "downstream"
 UPSTREAM = "upstream"
@@ -68,29 +51,17 @@ class BNeckProtocol(object):
         network: the :class:`~repro.network.graph.Network` to run over.
         simulator: optional simulator (one is created if omitted).
         algebra: optional rate algebra; defaults to tolerance-based floats.
-        tracer: optional :class:`~repro.simulator.tracing.PacketTracer`.
-        trace_packets: when false (and no explicit ``tracer`` is given) a
-            :class:`~repro.simulator.tracing.NullPacketTracer` is installed
-            and the forwarding methods skip the per-packet accounting
-            entirely -- use for runs that only report times, not counts.
+        tracer: optional :class:`~repro.simulator.tracing.PacketTracer`; a
+            :class:`~repro.simulator.tracing.NullPacketTracer` makes the
+            forwarding methods skip the per-packet accounting entirely.
             Assigning ``tracer`` later switches the accounting to match.
-        notification_log: where ``API.Rate`` records are kept -- ``"full"``
-            (default, unbounded) or ``"null"`` (see
-            :func:`repro.core.notifications.make_notification_log`).
-        notification_batch_window: optional window width (seconds) over which
-            application ``API.Rate`` callbacks are coalesced (see the module
-            docstring); ``None`` (default) delivers each one synchronously.
     """
 
-    def __init__(self, network, simulator=None, algebra=None, tracer=None,
-                 trace_packets=True, notification_log=None,
-                 notification_batch_window=None):
+    def __init__(self, network, simulator=None, algebra=None, tracer=None):
         self.network = network
         self.simulator = simulator or Simulator()
         self.algebra = algebra or default_algebra()
-        if tracer is None:
-            tracer = PacketTracer() if trace_packets else NullPacketTracer()
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else PacketTracer()
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network)
         self._router_links = {}
@@ -99,16 +70,7 @@ class BNeckProtocol(object):
         self._applications = {}
         self._sessions = {}
         self._last_rate = {}
-        self.notification_log = make_notification_log(notification_log)
-        if notification_batch_window is not None and not (
-            0 < notification_batch_window < math.inf  # also rejects NaN
-        ):
-            raise ValueError(
-                "notification_batch_window must be positive and finite, got %r"
-                % (notification_batch_window,)
-            )
-        self.notification_batch_window = notification_batch_window
-        self._pending_rates = {}
+        self.notification_log = NotificationLog()
         self.rate_callbacks = 0
         self._session_counter = 0
 
@@ -343,54 +305,15 @@ class BNeckProtocol(object):
         return self.notification_log
 
     def notify_rate(self, session_id, rate):
-        """Record an ``API.Rate`` invocation and deliver it to the application.
-
-        Without a ``notification_batch_window`` the application callback runs
-        synchronously.  With one, it is deferred to the next window boundary
-        and coalesced: only the last rate a session was notified within the
-        window reaches ``deliver_rate``.  Records, ``last_notified_rate`` and
-        the returned notification object always reflect every invocation.
-        """
+        """Record an ``API.Rate`` invocation and deliver it to the application."""
         time = self.simulator.now
         notification = self.notification_log.record(time, session_id, rate)
         self._last_rate[session_id] = rate
-        window = self.notification_batch_window
-        if window is None:
-            application = self._applications.get(session_id)
-            if application is not None:
-                self.rate_callbacks += 1
-                application.deliver_rate(time, rate)
-            return notification
-        pending = self._pending_rates
-        if not pending:
-            # Flush at the next window boundary strictly after `now`, through a
-            # bookkeeping timer, not an event (see the module docstring).
-            boundary = (math.floor(time / window) + 1.0) * window
-            self.simulator.schedule_bookkeeping(boundary - time, self._flush_pending_rates)
-        pending[session_id] = rate
+        application = self._applications.get(session_id)
+        if application is not None:
+            self.rate_callbacks += 1
+            application.deliver_rate(time, rate)
         return notification
-
-    def _flush_pending_rates(self, due):
-        """Windowed-flush bookkeeping timer: one coalesced ``API.Rate`` per session.
-
-        Fires between events (see
-        :meth:`repro.simulator.simulation.Simulator.schedule_bookkeeping`);
-        applications see the boundary timestamp ``due`` regardless of where
-        between two events the timer actually ran.  Dict insertion order makes
-        delivery order deterministic: sessions are notified in the order of
-        their *first* rate update within the window, each carrying its
-        *final* rate.
-        """
-        batch = list(self._pending_rates.items())
-        self._pending_rates.clear()
-        applications = self._applications
-        delivered = 0
-        for session_id, rate in batch:
-            application = applications.get(session_id)
-            if application is not None:
-                delivered += 1
-                application.deliver_rate(due, rate)
-        self.rate_callbacks += delivered
 
     def last_notified_rate(self, session_id):
         """The last rate notified to a session (``None`` before the first)."""

@@ -63,8 +63,6 @@ class Experiment2Config(object):
         demand_high=80e6,
         seed=0,
         validate=True,
-        notification_log=None,
-        notification_batch_window=None,
     ):
         churn = _churn(initial_sessions, churn_fraction)
         if churn > initial_sessions - churn:
@@ -84,8 +82,6 @@ class Experiment2Config(object):
         self.demand_high = demand_high
         self.seed = seed
         self.validate = validate
-        self.notification_log = notification_log
-        self.notification_batch_window = notification_batch_window
 
     def phases(self):
         return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction, self.window)
@@ -101,8 +97,6 @@ class Experiment2Config(object):
             delay_model=self.delay_model,
             seed=self.seed,
             tracer_interval=self.interval,
-            notification_log=self.notification_log,
-            notification_batch_window=self.notification_batch_window,
             validate=False,
         )
 

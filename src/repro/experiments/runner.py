@@ -18,8 +18,7 @@ callable sees each round's measurement as soon as the round is quiescent.
 
 Typical use::
 
-    spec = ScenarioSpec(size="medium", delay_model=LAN, seed=3,
-                        notification_log="null")
+    spec = ScenarioSpec(size="medium", delay_model=LAN, seed=3)
     runner = ExperimentRunner(spec, generator_seed=3)
     runner.populate(400, join_window=(0.0, 1e-3))
     measurement = runner.checkpoint("mass join")
@@ -55,17 +54,11 @@ class ScenarioSpec(object):
         network: a prebuilt :class:`~repro.network.graph.Network`.
         network_builder: zero-argument callable returning a network.
         protocol_factory: ``(network, tracer) -> protocol`` override; defaults
-            to :class:`~repro.core.protocol.BNeckProtocol` with this spec's
-            notification knobs.
+            to :class:`~repro.core.protocol.BNeckProtocol`.
         tracer_interval: bucket width for per-interval packet accounting
             (``None`` keeps a plain total-counting tracer).
         trace_packets: disable to install a
             :class:`~repro.simulator.tracing.NullPacketTracer` (fastest).
-        notification_log: ``"full"`` (default) or ``"null"``, forwarded to
-            the protocol.
-        notification_batch_window: optional ``API.Rate`` coalescing window in
-            seconds; ``None`` (default) delivers every callback synchronously
-            (see :class:`~repro.core.protocol.BNeckProtocol`).
         validate: whether :meth:`ExperimentRunner.checkpoint` validates
             against the centralized oracle.
         workload: optional stochastic-workload reference (a registered name
@@ -85,8 +78,6 @@ class ScenarioSpec(object):
         protocol_factory=None,
         tracer_interval=None,
         trace_packets=True,
-        notification_log=None,
-        notification_batch_window=None,
         validate=True,
         workload=None,
     ):
@@ -101,8 +92,6 @@ class ScenarioSpec(object):
         self.protocol_factory = protocol_factory
         self.tracer_interval = tracer_interval
         self.trace_packets = trace_packets
-        self.notification_log = notification_log
-        self.notification_batch_window = notification_batch_window
         self.validate = validate
         self.workload = workload
 
@@ -149,20 +138,10 @@ class ScenarioSpec(object):
     def build_protocol(self, network, tracer):
         if self.protocol_factory is not None:
             return self.protocol_factory(network, tracer)
-        return BNeckProtocol(
-            network,
-            tracer=tracer,
-            notification_log=self.notification_log,
-            notification_batch_window=self.notification_batch_window,
-        )
+        return BNeckProtocol(network, tracer=tracer)
 
     def __repr__(self):
-        return "ScenarioSpec(%r, seed=%d, log=%r, window=%r)" % (
-            self.label,
-            self.seed,
-            self.notification_log,
-            self.notification_batch_window,
-        )
+        return "ScenarioSpec(%r, seed=%d)" % (self.label, self.seed)
 
 
 class RunMeasurement(object):

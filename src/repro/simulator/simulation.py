@@ -16,24 +16,15 @@ the queue drains.  :meth:`Simulator.run` therefore runs until the queue is
 empty by default, and the time of the last processed event is the
 time-to-quiescence reported by the experiments.
 
-Bookkeeping timers
-------------------
-
-:meth:`Simulator.schedule_bookkeeping` registers an out-of-band timer that is
-*not* a simulation event: it fires ``callback(due)`` between events -- always
-before any event with ``time >= due`` executes, and at the latest when a run
-ends -- without ever touching the event queue.  Timers therefore never show in
-``events_processed``, never hold up quiescence detection, never stretch a
-reported quiescence time, and never count against ``max_events`` /
-``max_time``.  Their callbacks receive the due time explicitly (the clock is
-not advanced for them) and must not schedule simulation events.  The protocol
-uses them for windowed ``API.Rate`` flushes: a flush is pure observation, and
-as a simulation event it would show in ``events_processed`` and could stretch
-a reported phase by up to one window.
+All work of a run is an event in the one queue; nothing runs between events.
+Every run loop therefore has the same contract: pop the earliest event, set
+the clock to its time, call it.  The clock only moves forward:
+:meth:`Simulator.schedule_at` rejects a time before ``now``, and
+:meth:`Simulator.run` rejects a horizon before ``now``, each naming both
+times.
 """
 
 import heapq
-import itertools
 
 from repro.simulator.errors import SimulationLimitExceeded
 from repro.simulator.event_queue import EventQueue
@@ -54,9 +45,6 @@ class Simulator(object):
         self._queue = EventQueue()
         self._now = 0.0
         self._events_processed = 0
-        self._running = False
-        self._timers = []
-        self._timer_counter = itertools.count()
         self.max_events = max_events
         self.max_time = max_time
         self.tracer = tracer
@@ -84,11 +72,6 @@ class Simulator(object):
         """Deliveries (:meth:`schedule_delivery`) still waiting in the queue."""
         return self._queue.pending_deliveries
 
-    @property
-    def pending_bookkeeping(self):
-        """Bookkeeping timers not yet fired (they never block quiescence)."""
-        return len(self._timers)
-
     # ------------------------------------------------------------- scheduling
 
     def schedule(self, delay, callback, tag=None):
@@ -115,28 +98,6 @@ class Simulator(object):
             raise ValueError("delay must be non-negative, got %r" % delay)
         self._queue.push_delivery(self._now + delay, receiver, message, tag)
 
-    def schedule_bookkeeping(self, delay, callback):
-        """Schedule an out-of-band *bookkeeping timer* (see module docstring).
-
-        ``callback(due)`` fires between events -- before any event with
-        ``time >= due`` executes, and at the latest when the current (or
-        next) run ends -- without occupying an event-queue slot: it is
-        invisible to ``events_processed``, quiescence times and safety caps.
-        The callback must not schedule simulation events.
-        """
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError("delay must be non-negative, got %r" % delay)
-        heapq.heappush(
-            self._timers, (self._now + delay, next(self._timer_counter), callback)
-        )
-
-    def _fire_timers(self, cap):
-        """Fire bookkeeping timers with ``due <= cap`` (``None`` fires all)."""
-        timers = self._timers
-        while timers and (cap is None or timers[0][0] <= cap):
-            due, _sequence, callback = heapq.heappop(timers)
-            callback(due)
-
     def cancel(self, event):
         """Cancel a previously scheduled event."""
         self._queue.cancel(event)
@@ -148,15 +109,10 @@ class Simulator(object):
     # ---------------------------------------------------------------- running
 
     def step(self):
-        """Execute the next pending event; returns ``False`` when none remains.
-
-        Bookkeeping timers due at or before the event's time fire first.
-        """
+        """Execute the next pending event; returns ``False`` when none remains."""
         entry = self._queue.pop_entry()
         if entry is None:
             return False
-        if self._timers and self._timers[0][0] <= entry[0]:
-            self._fire_timers(entry[0])
         self._now = entry[0]
         self._events_processed += 1
         if self.tracer is not None:
@@ -172,35 +128,31 @@ class Simulator(object):
         """Run the simulation.
 
         Args:
-            until: optional absolute time horizon.  Events scheduled after the
-                horizon stay in the queue; the clock is advanced to ``until``
-                when the horizon is hit with work still pending.
+            until: optional absolute time horizon, no earlier than ``now``.
+                Events scheduled after the horizon stay in the queue; the
+                clock is advanced to ``until`` when the run stops there.
             stop_condition: optional zero-argument predicate evaluated after
                 every event; the run stops once it returns ``True``.
 
         Returns:
             The simulation time at which the run stopped.
+
+        Raises:
+            ValueError: ``until`` is NaN or earlier than ``now``.
         """
-        self._running = True
+        if until is not None and not until >= self._now:  # also rejects NaN
+            raise ValueError(
+                "cannot run to a horizon in the past (now=%r, until=%r)" % (self._now, until)
+            )
         self._stop_requested = False
-        try:
-            if until is None and stop_condition is None and self._unconstrained():
-                self._drain_fast()
-            else:
-                self._run_general(until, stop_condition)
-        finally:
-            self._running = False
+        if until is None and stop_condition is None and self._unconstrained():
+            self._drain_fast()
+        else:
+            self._run_general(until, stop_condition)
         if until is not None and not self._queue and self._now < until:
             # The queue drained before the horizon: advance the clock so
             # repeated run(until=...) calls observe monotonic time.
             self._now = until
-        if self._timers and not self._stop_requested:
-            # Runs that ended by draining (or crossing a horizon) fire their
-            # matured bookkeeping timers; runs ended early by stop() or a
-            # stop_condition leave them pending for the next run.
-            next_time = self._queue.peek_time()
-            if next_time is None or (until is not None and next_time > until):
-                self._fire_timers(until)
         return self._now
 
     def _run_general(self, until, stop_condition):
@@ -217,9 +169,6 @@ class Simulator(object):
             self._check_limits(next_time)
             self.step()
             if stop_condition is not None and stop_condition():
-                # Record the early termination so the end-of-run timer flush
-                # knows this run was paused, not drained.
-                self._stop_requested = True
                 break
 
     def _drain_fast(self, check_stop=True):
@@ -239,7 +188,6 @@ class Simulator(object):
         # in place, so the local names stay valid.
         queue = self._queue
         heap = queue._heap
-        timers = self._timers
         heappop = heapq.heappop
         while heap and not (check_stop and self._stop_requested):
             time, _sequence, function, argument, _tag, event = heappop(heap)
@@ -248,8 +196,6 @@ class Simulator(object):
                     queue._cancelled -= 1
                     continue
                 event.consumed = True
-            if timers and timers[0][0] <= time:
-                self._fire_timers(time)
             self._now = time
             self._events_processed += 1
             function(argument)
@@ -262,8 +208,6 @@ class Simulator(object):
         """
         if self._unconstrained():
             self._drain_fast(check_stop=False)
-            if self._timers:
-                self._fire_timers(None)
             # After a drain the clock sits on the last processed event (or is
             # untouched when the queue was already empty).
             return self._now
@@ -275,8 +219,6 @@ class Simulator(object):
             self._check_limits(next_time)
             self.step()
             last_event_time = self._now
-        if self._timers:
-            self._fire_timers(None)
         return last_event_time
 
     def _check_limits(self, next_time):

@@ -1,25 +1,12 @@
 """``API.Rate`` delivery semantics.
 
-Pinned guarantees:
-
-* **Synchronous by default**: every ``notify_rate`` call reaches the
-  application at once, stamped with the current simulation time.
-* **Observation-only**: the delivery window and the notification log never
-  change the simulation -- the fixed-seed golden scenarios of
-  ``tests/data/hot_path_goldens.json`` reproduce identical event counts,
-  quiescence times and final allocations with any pipeline configuration.
-* **Windowed batching** (opt-in) coalesces across instants at window
-  boundaries, still delivering the final rate, while ``last_notified_rate``
-  stays synchronously up to date.
+``API.Rate`` is a plain upcall: every ``notify_rate`` call reaches the
+application at once, stamped with the current simulation time, and is
+recorded in the protocol's notification log.
 """
-
-import json
-import math
-import os
 
 import pytest
 
-from repro.core.api import SessionApplication
 from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
@@ -27,23 +14,18 @@ from repro.simulator.clock import microseconds
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "hot_path_goldens.json")
 
-with open(GOLDEN_PATH) as handle:
-    GOLDENS = json.load(handle)
-
-
-def _single_link_protocol(**kwargs):
+def _single_link_protocol():
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = BNeckProtocol(network, **kwargs)
+    protocol = BNeckProtocol(network)
     source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
     sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
     return protocol, source.node_id, sink.node_id
 
 
 class TestSynchronousDelivery(object):
-    def _notify_twice_in_one_instant(self, **kwargs):
-        protocol, source, sink = _single_link_protocol(**kwargs)
+    def _notify_twice_in_one_instant(self):
+        protocol, source, sink = _single_link_protocol()
         session, application = protocol.open_session(source, sink, session_id="a")
         protocol.run_until_quiescent()
         baseline = application.notification_count
@@ -98,152 +80,3 @@ class TestSynchronousDelivery(object):
             protocol.application(s.session_id).notification_count
             for s in protocol.active_sessions()
         )
-
-
-class TestGoldenBitIdentity(object):
-    """Any pipeline configuration reproduces the pinned golden scenarios."""
-
-    @pytest.mark.parametrize("window", [None, 1e-3], ids=["synchronous", "window-1ms"])
-    @pytest.mark.parametrize("log", ["full", "null"])
-    def test_allocation_matches_golden(self, log, window):
-        key = sorted(GOLDENS)[0]
-        golden = GOLDENS[key]
-        size, delay, seed, count = key.split("-")
-        seed = int(seed[1:])
-        count = int(count[1:])
-        network = NetworkScenario(size, delay, seed=seed).build()
-        protocol = BNeckProtocol(
-            network, notification_log=log, notification_batch_window=window
-        )
-        generator = WorkloadGenerator(network, seed=seed + count)
-        generator.populate(protocol, count, join_window=(0.0, 1e-3))
-        quiescence = protocol.run_until_quiescent()
-        assert protocol.simulator.events_processed == golden["events"]
-        assert repr(quiescence) == golden["quiescence"]
-        allocation = protocol.current_allocation().as_dict()
-        assert {sid: repr(rate) for sid, rate in allocation.items()} == golden["allocation"]
-
-
-class TestWindowedBatching(object):
-    def test_coalesces_across_instants_within_the_window(self):
-        protocol, source, sink = _single_link_protocol(
-            notification_batch_window=1e-3
-        )
-        session, application = protocol.open_session(source, sink, session_id="a")
-        simulator = protocol.simulator
-        protocol.run_until_quiescent()
-        baseline = application.notification_count
-
-        # Three renegotiations at distinct instants inside one 1 ms window.
-        simulator.schedule_at(10e-3 + 1e-4, lambda: protocol.notify_rate("a", 1.0))
-        simulator.schedule_at(10e-3 + 2e-4, lambda: protocol.notify_rate("a", 2.0))
-        simulator.schedule_at(10e-3 + 3e-4, lambda: protocol.notify_rate("a", 3.0))
-        protocol.run_until_quiescent()
-
-        assert application.notification_count == baseline + 1
-        assert application.current_rate == 3.0
-        # Delivery happened at the window boundary.
-        assert application.notifications[-1].time == pytest.approx(11e-3)
-        # last_notified_rate tracked every invocation synchronously.
-        assert protocol.last_notified_rate("a") == 3.0
-
-    def test_updates_in_different_windows_deliver_separately(self):
-        protocol, source, sink = _single_link_protocol(
-            notification_batch_window=1e-3
-        )
-        session, application = protocol.open_session(source, sink, session_id="a")
-        simulator = protocol.simulator
-        protocol.run_until_quiescent()
-        baseline = application.notification_count
-
-        simulator.schedule_at(10e-3 + 1e-4, lambda: protocol.notify_rate("a", 1.0))
-        simulator.schedule_at(12e-3 + 1e-4, lambda: protocol.notify_rate("a", 2.0))
-        protocol.run_until_quiescent()
-        assert application.notification_count == baseline + 2
-
-    def test_delivery_order_is_first_update_order(self):
-        protocol, source, sink = _single_link_protocol(notification_batch_window=1e-3)
-        protocol.open_session(source, sink, session_id="a")
-        protocol.run_until_quiescent()
-        order = []
-
-        class Recording(SessionApplication):
-            def on_rate(self, time, rate):
-                order.append((self.session_id, rate))
-
-        protocol._applications["a"] = Recording("a", 100 * MBPS)
-        protocol._applications["b"] = Recording("b", 100 * MBPS)
-        simulator = protocol.simulator
-        simulator.schedule_at(10e-3 + 1e-4, lambda: protocol.notify_rate("b", 1.0))
-        simulator.schedule_at(10e-3 + 2e-4, lambda: protocol.notify_rate("a", 2.0))
-        simulator.schedule_at(10e-3 + 3e-4, lambda: protocol.notify_rate("b", 3.0))
-        protocol.run_until_quiescent()
-        # b was updated first (and coalesced to its final value), then a.
-        assert order == [("b", 3.0), ("a", 2.0)]
-
-    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_non_positive_window(self, window):
-        with pytest.raises(ValueError, match="notification_batch_window"):
-            _single_link_protocol(notification_batch_window=window)
-
-    def test_windowed_flush_is_invisible_to_simulation_metrics(self):
-        """The flush is bookkeeping, not an event (ROADMAP follow-up).
-
-        A windowed run must report the same ``events_processed`` and the same
-        quiescence time as the equivalent synchronous run: the flush never
-        occupies an event-queue slot and never stretches a reported phase by
-        up to one window (the historical quirk of the event-based flush).
-        """
-
-        def run(**kwargs):
-            protocol, source, sink = _single_link_protocol(**kwargs)
-            protocol.open_session(source, sink, session_id="a")
-            quiescence = protocol.run_until_quiescent()
-            return protocol, quiescence
-
-        plain, plain_quiescence = run()
-        windowed, windowed_quiescence = run(notification_batch_window=1e-3)
-        assert windowed.simulator.events_processed == plain.simulator.events_processed
-        assert windowed_quiescence == plain_quiescence
-        assert windowed.simulator.pending_events == 0
-        assert windowed.simulator.pending_bookkeeping == 0
-        # The application still saw its rate, stamped at the window boundary.
-        application = windowed.application("a")
-        assert application.notification_count >= 1
-        assert application.notifications[-1].time >= windowed_quiescence
-
-    def test_windowed_flush_fires_even_past_the_last_event(self):
-        # The last rate update of a run typically lands mid-window: the flush
-        # boundary lies *after* the quiescence time, yet the application must
-        # still receive the final rate when the run drains.
-        protocol, source, sink = _single_link_protocol(notification_batch_window=1.0)
-        session, application = protocol.open_session(source, sink, session_id="a")
-        quiescence = protocol.run_until_quiescent()
-        assert quiescence < 1.0
-        assert application.current_rate == pytest.approx(100 * MBPS)
-        assert application.notifications[-1].time == pytest.approx(1.0)
-
-    def test_windowed_flush_does_not_trip_safety_caps(self):
-        network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-        from repro.simulator.simulation import Simulator
-
-        probe = BNeckProtocol(network)
-        source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-        sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        probe.open_session(source.node_id, sink.node_id, session_id="a")
-        probe.run_until_quiescent()
-        budget = probe.simulator.events_processed
-
-        capped_network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-        protocol = BNeckProtocol(
-            capped_network,
-            simulator=Simulator(max_events=budget),
-            notification_batch_window=1e-3,
-        )
-        capped_source = capped_network.attach_host("r0", 1000 * MBPS, microseconds(1))
-        capped_sink = capped_network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        protocol.open_session(capped_source.node_id, capped_sink.node_id, session_id="a")
-        # With the historical event-based flush this run needed budget + 1
-        # events; the bookkeeping timer keeps it exactly at the cap.
-        protocol.run_until_quiescent()
-        assert protocol.simulator.events_processed == budget

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.notifications import NullNotificationLog
 from repro.core.protocol import BNeckProtocol
 from repro.experiments.runner import ExperimentRunner, RunMeasurement, ScenarioSpec
 from repro.network.topology import parking_lot_topology
@@ -65,16 +64,13 @@ class TestScenarioSpec(object):
         assert isinstance(tracer, PacketTracer)
         assert tracer.interval == 5e-3
 
-    def test_notification_knobs_reach_the_protocol(self):
-        spec = ScenarioSpec(
-            size="small",
-            notification_log="null",
-            notification_batch_window=2e-3,
-        )
+    def test_default_protocol_is_bneck_with_the_spec_tracer(self):
+        spec = ScenarioSpec(size="small", trace_packets=False)
         runner = ExperimentRunner(spec)
-        assert isinstance(runner.protocol.notification_log, NullNotificationLog)
-        assert runner.protocol.notification_batch_window == 2e-3
-        assert repr(spec) == "ScenarioSpec('small-lan', seed=0, log='null', window=0.002)"
+        assert isinstance(runner.protocol, BNeckProtocol)
+        assert runner.protocol.tracer is runner.tracer
+        assert isinstance(runner.protocol.tracer, NullPacketTracer)
+        assert repr(spec) == "ScenarioSpec('small-lan', seed=0)"
 
     def test_protocol_factory_override(self):
         built = {}

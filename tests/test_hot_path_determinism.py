@@ -48,12 +48,12 @@ with open(CROSS_ENGINE_GOLDEN_PATH) as handle:
     CROSS_ENGINE_GOLDENS = json.load(handle)
 
 
-def _populated_protocol(key, trace_packets=True):
+def _populated_protocol(key, tracer=None):
     size, delay, seed, count = key.split("-")
     seed = int(seed[1:])
     count = int(count[1:])
     network = NetworkScenario(size, delay, seed=seed).build()
-    protocol = BNeckProtocol(network, trace_packets=trace_packets)
+    protocol = BNeckProtocol(network, tracer=tracer)
     generator = WorkloadGenerator(network, seed=seed + count)
     generator.populate(protocol, count, join_window=(0.0, 1e-3))
     return protocol
@@ -73,8 +73,8 @@ def _assert_link_bookkeeping_in_sync(protocol):
         assert repr(state.bottleneck) == bottleneck_formula(state)
 
 
-def _run_scenario(key, trace_packets=True):
-    protocol = _populated_protocol(key, trace_packets=trace_packets)
+def _run_scenario(key, tracer=None):
+    protocol = _populated_protocol(key, tracer=tracer)
     quiescence = protocol.run_until_quiescent()
     return protocol, quiescence
 
@@ -95,7 +95,7 @@ class TestSeedDeterminism(object):
     def test_null_tracer_does_not_change_the_simulation(self):
         key = sorted(GOLDENS)[-1]
         golden = GOLDENS[key]
-        protocol, quiescence = _run_scenario(key, trace_packets=False)
+        protocol, quiescence = _run_scenario(key, tracer=NullPacketTracer())
         assert isinstance(protocol.tracer, NullPacketTracer)
         assert protocol.tracer.total == 0
         # Tracing off must be invisible to the simulation itself.

@@ -1,13 +1,7 @@
-"""Unit tests for the NotificationLog variants."""
-
-import pytest
+"""Unit tests for the NotificationLog."""
 
 from repro.core.api import RateNotification
-from repro.core.notifications import (
-    NotificationLog,
-    NullNotificationLog,
-    make_notification_log,
-)
+from repro.core.notifications import NotificationLog
 
 
 class TestFullLog(object):
@@ -20,26 +14,3 @@ class TestFullLog(object):
         assert log[0].session_id == "a"
         assert [n.rate for n in log] == [10.0, 20.0]
         assert log.recorded == 2
-
-
-class TestNullLog(object):
-    def test_retains_nothing_but_counts(self):
-        log = NullNotificationLog()
-        assert log.record(0.1, "a", 10.0) is None
-        assert len(log) == 0
-        assert list(log) == []
-        assert log.recorded == 1
-        with pytest.raises(IndexError):
-            log[0]
-
-
-class TestFactory(object):
-    def test_named_variants(self):
-        assert isinstance(make_notification_log(None), NotificationLog)
-        assert isinstance(make_notification_log("full"), NotificationLog)
-        assert isinstance(make_notification_log("null"), NullNotificationLog)
-
-    def test_rejects_unknown_specs(self):
-        for spec in ("bogus", "ring", "ring:8", 42, NullNotificationLog):
-            with pytest.raises(ValueError, match="unknown notification log"):
-                make_notification_log(spec)

@@ -165,7 +165,7 @@ class TestTracerSwap(object):
     @pytest.mark.parametrize("make_protocol", [BNeckProtocol, BFYZProtocol])
     def test_tracer_assigned_after_construction_counts(self, make_protocol):
         network, source, sink = _one_link_network()
-        protocol = make_protocol(network, trace_packets=False)
+        protocol = make_protocol(network, tracer=NullPacketTracer())
         tracer = PacketTracer()
         protocol.tracer = tracer
         protocol.open_session(source, sink, session_id="a")

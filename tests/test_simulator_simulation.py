@@ -58,6 +58,30 @@ def test_run_advances_clock_to_horizon_when_queue_drains(simulator):
     assert simulator.now == 3.0
 
 
+def test_run_horizon_in_the_past_rejected(simulator):
+    fired = []
+    simulator.schedule_at(10.0, lambda: fired.append(10.0))
+    simulator.schedule_at(20.0, lambda: fired.append(20.0))
+    assert simulator.run(until=15.0) == 15.0
+    with pytest.raises(ValueError, match="now=15.0.*until=5.0"):
+        simulator.run(until=5.0)
+    # The rejected run left the clock alone, so the past stays unschedulable.
+    assert simulator.now == 15.0
+    with pytest.raises(ValueError):
+        simulator.schedule_at(7.0, lambda: fired.append(7.0))
+    assert simulator.run(until=15.0) == 15.0  # a horizon at ``now`` is legal
+    assert simulator.run() == 20.0
+    assert fired == [10.0, 20.0]
+
+
+def test_run_horizon_nan_rejected(simulator):
+    simulator.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        simulator.run(until=math.nan)
+    assert simulator.pending_events == 1
+    assert simulator.now == 0.0
+
+
 def test_schedule_negative_delay_rejected(simulator):
     with pytest.raises(ValueError):
         simulator.schedule(-0.1, lambda: None)
@@ -70,9 +94,7 @@ def test_schedule_at_in_the_past_rejected(simulator):
         simulator.schedule_at(0.5, lambda: None)
 
 
-@pytest.mark.parametrize(
-    "method", ["schedule", "schedule_at", "schedule_delivery", "schedule_bookkeeping"]
-)
+@pytest.mark.parametrize("method", ["schedule", "schedule_at", "schedule_delivery"])
 def test_nan_time_rejected(simulator, method):
     # ``nan < 0`` is false, so a sign test alone would let a NaN heap key in.
     arguments = (_ignore, "message") if method == "schedule_delivery" else (lambda: None,)
@@ -80,7 +102,6 @@ def test_nan_time_rejected(simulator, method):
         getattr(simulator, method)(math.nan, *arguments)
     assert simulator.pending_events == 0
     assert simulator.pending_deliveries == 0
-    assert simulator.pending_bookkeeping == 0
 
 
 def test_schedule_at_absolute_time(simulator):
@@ -222,218 +243,3 @@ def test_schedule_delivery_counts_as_pending_delivery(simulator):
     assert simulator.pending_deliveries == 0
     simulator.run_until_quiescent()
     assert simulator.pending_events == 0
-
-
-class TestBookkeepingTimers(object):
-    """schedule_bookkeeping: out-of-band timers that are not events."""
-
-    def test_fires_before_any_event_at_or_after_its_due_time(self):
-        simulator = Simulator()
-        order = []
-        simulator.schedule(1.0, lambda: order.append("early"))
-        simulator.schedule(3.0, lambda: order.append("late"))
-        simulator.schedule_bookkeeping(2.0, lambda due: order.append(("timer", due)))
-        simulator.run_until_quiescent()
-        assert order == ["early", ("timer", 2.0), "late"]
-
-    def test_is_invisible_to_events_and_quiescence(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule_bookkeeping(5.0, fired.append)
-        assert simulator.pending_events == 1
-        assert simulator.pending_bookkeeping == 1
-        quiescence = simulator.run_until_quiescent()
-        # The timer fired (at run end; its due lies past the last event) but
-        # neither the event count, the clock nor the quiescence time moved.
-        assert fired == [5.0]
-        assert simulator.events_processed == 1
-        assert quiescence == 1.0
-        assert simulator.now == 1.0
-        assert simulator.pending_bookkeeping == 0
-
-    def test_horizon_runs_fire_only_matured_timers(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule(9.0, lambda: None)
-        simulator.schedule_bookkeeping(2.0, lambda due: fired.append(due))
-        simulator.schedule_bookkeeping(8.0, lambda due: fired.append(due))
-        simulator.run(until=5.0)
-        assert fired == [2.0]
-        assert simulator.pending_bookkeeping == 1
-        simulator.run_until_quiescent()
-        assert fired == [2.0, 8.0]
-
-    def test_stopped_runs_leave_timers_pending(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, simulator.stop)
-        simulator.schedule(2.0, lambda: None)
-        simulator.schedule_bookkeeping(1.5, fired.append)
-        simulator.run()
-        assert fired == []
-        assert simulator.pending_bookkeeping == 1
-        simulator.run_until_quiescent()
-        assert fired == [1.5]
-
-    def test_rejects_negative_delay(self):
-        simulator = Simulator()
-        with pytest.raises(ValueError):
-            simulator.schedule_bookkeeping(-1.0, lambda due: None)
-
-    def test_ties_run_in_registration_order(self):
-        simulator = Simulator()
-        order = []
-        simulator.schedule_bookkeeping(1.0, lambda due: order.append("a"))
-        simulator.schedule_bookkeeping(1.0, lambda due: order.append("b"))
-        simulator.schedule(2.0, lambda: order.append("event"))
-        simulator.run_until_quiescent()
-        assert order == ["a", "b", "event"]
-
-    def test_condition_stopped_runs_leave_timers_pending(self):
-        # A stop_condition firing on the event that empties the queue must
-        # not flush future-dated timers: the run is paused, not drained.
-        simulator = Simulator()
-        fired = []
-        done = []
-        simulator.schedule(1.0, lambda: done.append(True))
-        simulator.schedule_bookkeeping(5.0, fired.append)
-        simulator.run(stop_condition=lambda: bool(done))
-        assert fired == []
-        assert simulator.pending_bookkeeping == 1
-        simulator.run_until_quiescent()
-        assert fired == [5.0]
-
-
-def _run_fast(simulator):
-    simulator.run()
-
-
-def _run_capped(simulator):
-    simulator.max_events = 10 ** 6
-    simulator.run()
-
-
-def _run_to_horizon(simulator):
-    simulator.run(until=100.0)
-
-
-def _quiescent_fast(simulator):
-    simulator.run_until_quiescent()
-
-
-def _quiescent_capped(simulator):
-    simulator.max_time = 100.0
-    simulator.run_until_quiescent()
-
-
-# Every run loop must honour the bookkeeping-timer contract: run() and
-# run_until_quiescent() each have an unconstrained drain and a general loop.
-RUN_LOOPS = pytest.mark.parametrize(
-    "drive",
-    [_run_fast, _run_capped, _run_to_horizon, _quiescent_fast, _quiescent_capped],
-    ids=["run-fast", "run-capped", "run-horizon", "quiescent-fast", "quiescent-capped"],
-)
-
-
-class TestBookkeepingTimersInEveryLoop(object):
-    @RUN_LOOPS
-    def test_timer_due_at_an_event_time_fires_before_that_event(self, drive):
-        simulator = Simulator()
-        order = []
-        simulator.schedule(1.0, lambda: order.append("first"))
-        simulator.schedule(2.0, lambda: order.append("tied"))
-        simulator.schedule_bookkeeping(2.0, lambda due: order.append(("timer", due)))
-        drive(simulator)
-        assert order == ["first", ("timer", 2.0), "tied"]
-        assert simulator.events_processed == 2
-
-    @RUN_LOOPS
-    def test_timer_gets_its_due_time_without_advancing_the_clock(self, drive):
-        simulator = Simulator()
-        seen = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule(3.0, lambda: None)
-        simulator.schedule_bookkeeping(2.0, lambda due: seen.append((due, simulator.now)))
-        drive(simulator)
-        # Fired between the two events: the clock still reads the first one.
-        assert seen == [(2.0, 1.0)]
-
-    @RUN_LOOPS
-    def test_timer_scheduled_by_an_event_fires_before_later_events(self, drive):
-        simulator = Simulator()
-        order = []
-
-        def arm():
-            order.append("arm")
-            simulator.schedule_bookkeeping(0.5, lambda due: order.append(("timer", due)))
-
-        simulator.schedule(1.0, arm)
-        simulator.schedule(2.0, lambda: order.append("later"))
-        drive(simulator)
-        assert order == ["arm", ("timer", 1.5), "later"]
-        assert simulator.pending_bookkeeping == 0
-
-
-class TestBookkeepingTimerEdges(object):
-    def test_step_fires_matured_timers_before_the_event(self):
-        simulator = Simulator()
-        order = []
-        simulator.schedule(1.0, lambda: order.append("event"))
-        simulator.schedule_bookkeeping(1.0, lambda due: order.append(("timer", due)))
-        assert simulator.step()
-        assert order == [("timer", 1.0), "event"]
-        assert simulator.pending_bookkeeping == 0
-
-    def test_step_leaves_future_timers_pending(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule_bookkeeping(2.0, fired.append)
-        assert simulator.step()
-        assert fired == []
-        assert simulator.pending_bookkeeping == 1
-
-    def test_tracer_never_sees_a_timer(self):
-        class RecordingTracer(object):
-            def __init__(self):
-                self.events = []
-
-            def on_event(self, time, tag):
-                self.events.append((time, tag))
-
-        tracer = RecordingTracer()
-        simulator = Simulator(tracer=tracer)
-        fired = []
-        simulator.schedule(1.0, lambda: None, tag="alpha")
-        simulator.schedule(3.0, lambda: None, tag="beta")
-        simulator.schedule_bookkeeping(2.0, fired.append)
-        simulator.schedule_bookkeeping(9.0, fired.append)
-        simulator.run_until_quiescent()
-        assert fired == [2.0, 9.0]
-        assert tracer.events == [(1.0, "alpha"), (3.0, "beta")]
-
-    @pytest.mark.parametrize("method", ["run", "run_until_quiescent"])
-    def test_timer_past_max_time_does_not_trip_the_cap(self, method):
-        simulator = Simulator(max_time=2.0)
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule_bookkeeping(5.0, fired.append)
-        getattr(simulator, method)()
-        assert fired == [5.0]
-        assert simulator.now == 1.0
-
-    def test_drained_horizon_run_fires_timers_up_to_the_horizon(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule_bookkeeping(2.0, fired.append)
-        simulator.schedule_bookkeeping(8.0, fired.append)
-        simulator.run(until=5.0)
-        assert fired == [2.0]
-        assert simulator.now == 5.0
-        assert simulator.pending_bookkeeping == 1
-        simulator.run(until=10.0)
-        assert fired == [2.0, 8.0]
-        assert simulator.pending_bookkeeping == 0
