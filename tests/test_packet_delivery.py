@@ -12,6 +12,8 @@ import hashlib
 import pytest
 
 from repro.baselines.bfyz import BFYZProtocol
+from repro.baselines.cg import CGProtocol
+from repro.baselines.rcp import RCPProtocol
 from repro.core.protocol import BNeckProtocol
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.topology import single_link_topology
@@ -19,7 +21,8 @@ from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 from repro.workloads.dynamics import DynamicPhase, PhaseWorkload
-from repro.workloads.generator import uniform_demand
+from repro.workloads.generator import WorkloadGenerator, uniform_demand
+from repro.workloads.scenarios import NetworkScenario
 
 # (record count, sha256 of every packet record in send order) of a scenario,
 # captured with the closure-per-packet send path that the one-argument queue
@@ -183,3 +186,26 @@ class TestTracerSwap(object):
         protocol.run(until=1.5e-3)
         assert counting.total == 0
         assert protocol.tracer.total == 0
+
+    @pytest.mark.parametrize(
+        "make_protocol", [BNeckProtocol, BFYZProtocol, CGProtocol, RCPProtocol]
+    )
+    def test_null_tracer_moves_no_event_and_no_rate(self, make_protocol):
+        # ``tracer=NullPacketTracer()`` is the one way to switch packet
+        # accounting off; it must only drop the counts.
+        outcomes, totals = [], []
+        for tracer in (PacketTracer(), NullPacketTracer()):
+            network = NetworkScenario("small", "lan", seed=4).build()
+            protocol = make_protocol(network, tracer=tracer)
+            WorkloadGenerator(network, seed=4).populate(protocol, 12, join_window=(0.0, 1e-3))
+            end = protocol.run(until=6e-3)
+            outcomes.append((
+                end,
+                protocol.simulator.events_processed,
+                sorted(protocol.current_allocation().items()),
+            ))
+            totals.append(tracer.total)
+        traced, untraced = outcomes
+        assert untraced == traced
+        assert traced[1] > 100
+        assert totals[0] > 0 and totals[1] == 0

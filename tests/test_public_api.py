@@ -2,7 +2,10 @@
 
 import math
 
+import pytest
+
 import repro
+import repro.core
 from repro import (
     BNeckProtocol,
     MBPS,
@@ -13,6 +16,11 @@ from repro import (
     validate_against_oracle,
     water_filling,
 )
+from repro.baselines.bfyz import BFYZProtocol
+from repro.experiments.experiment2 import Experiment2Config
+from repro.experiments.runner import ScenarioSpec
+from repro.network.topology import single_link_topology
+from repro.simulator.simulation import Simulator
 
 
 def test_version_is_exposed():
@@ -56,3 +64,51 @@ def test_oracles_are_importable_from_the_top_level(single_link_network):
     assert isinstance(centralized, RateAllocation)
     assert centralized.equals(filled)
     assert is_max_min_fair(sessions, centralized)
+
+
+# ``API.Rate`` has one delivery path (synchronous, one full log) and packet
+# accounting has one switch per object (``tracer=NullPacketTracer()`` on a
+# protocol, ``trace_packets=`` on a ScenarioSpec).  The options that offered a
+# second way are gone; passing one is an error, not a silent no-op.
+_REMOVED_OPTIONS = [
+    (BNeckProtocol, "notification_batch_window", 1e-3),
+    (BNeckProtocol, "notification_log", "null"),
+    (BNeckProtocol, "trace_packets", False),
+    (BFYZProtocol, "trace_packets", False),
+    (ScenarioSpec, "notification_batch_window", 1e-3),
+    (ScenarioSpec, "notification_log", "null"),
+    (Experiment2Config, "notification_batch_window", 1e-3),
+    (Experiment2Config, "notification_log", "null"),
+]
+
+
+def _construct(owner, **options):
+    if owner in (BNeckProtocol, BFYZProtocol):
+        return owner(single_link_topology(), **options)
+    if owner is ScenarioSpec:
+        return owner(size="small", **options)
+    return owner(size="small", initial_sessions=20, **options)
+
+
+@pytest.mark.parametrize(
+    "owner, option, value",
+    _REMOVED_OPTIONS,
+    ids=["%s-%s" % (owner.__name__, option) for owner, option, _ in _REMOVED_OPTIONS],
+)
+def test_removed_option_is_rejected(owner, option, value):
+    _construct(owner)  # the defaults still construct
+    with pytest.raises(TypeError, match=option):
+        _construct(owner, **{option: value})
+
+
+@pytest.mark.parametrize("name", ["NullNotificationLog", "make_notification_log"])
+def test_core_exports_only_the_full_notification_log(name):
+    assert "NotificationLog" in repro.core.__all__
+    assert name not in repro.core.__all__
+    assert not hasattr(repro.core, name)
+
+
+@pytest.mark.parametrize("name", ["schedule_bookkeeping", "pending_bookkeeping"])
+def test_simulator_has_no_out_of_band_timers(name):
+    # Every piece of work is an event in the one queue.
+    assert not hasattr(Simulator(), name)
